@@ -3,7 +3,6 @@
 from .distributions import (
     ParityDistribution,
     RootDistribution,
-    direction_rank,
     face_parity,
     induced_parity,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "ParityDistribution",
     "face_parity",
     "induced_parity",
-    "direction_rank",
     "realize",
     "enumerate_realizations",
     "Sat",

@@ -28,12 +28,11 @@ from .lattice import (
     Face,
     LatticeIso,
     Region,
-    _face_sort_key,
     face_corners,
     hexagon,
     iso_from_frames,
 )
-from .realizer import CONTRADICTION, Contradiction, _Problem, _propagate, _Stats
+from .realizer import CONTRADICTION, Contradiction, CSPState, propagate
 
 MIN_CLASSIFY_RADIUS = 4
 
@@ -52,9 +51,9 @@ class EvenWindow:
         if missing:
             raise ValueError(f"delta undefined on {len(missing)} window vertices")
         parity = induced_parity(self.delta, self.region)
-        odd = [f for f, p in parity.items() if p == 1]
+        odd = [f for f in self.region.faces if parity[f]]
         if odd:
-            raise ValueError(f"window is not even: odd face {odd[0]}")
+            raise ValueError(f"window is not even: odd face {min(odd)}")
 
 
 class UndeterminedReason(Enum):
@@ -183,29 +182,26 @@ def propagate_even(
     region: Region,
 ) -> EvenPropagation | Contradiction:
     """Propagate the all-even constraint from the seeded vertices; no search."""
-    seeds = (
-        dict(delta_partial.items())
-        if isinstance(delta_partial, RootDistribution)
-        else dict(delta_partial)
-    )
-    target = ParityDistribution.constant(region, 0)
-    problem = _Problem(target, region)
-    domains = [0b111] * len(problem.vertices)
-    for v, d in seeds.items():
-        if v not in problem.vindex:
+    seeds = dict(delta_partial.items())
+    vertices = region.vertex_set()
+    for v in seeds:
+        if v not in vertices:
             raise ValueError(f"seed vertex {v} is outside the region")
-        domains[problem.vindex[v]] = 1 << int(d)
-    if not _propagate(problem, domains, _Stats()):
+    state = CSPState(
+        {v: frozenset((d,)) for v, d in seeds.items()},
+        ParityDistribution.constant(region, 0),
+        region,
+    )
+    fixpoint = propagate(state)
+    if fixpoint is CONTRADICTION:
         return CONTRADICTION
     forced = {}
     free = []
-    for v, mask in zip(problem.vertices, domains):
-        if mask & (mask - 1):
-            free.append(
-                (v, frozenset(d for d in _ALL_DIRECTIONS if mask & (1 << int(d))))
-            )
+    for v, domain in fixpoint.domains.items():
+        if len(domain) == 1:
+            (forced[v],) = domain
         else:
-            forced[v] = Direction(mask.bit_length() - 1)
+            free.append((v, domain))
     return EvenPropagation(RootDistribution(forced), tuple(free))
 
 
@@ -318,32 +314,6 @@ def build_strip_union(
             raise ValueError(f"row {row} is assigned the strip axis {axis}")
         assignment[v] = d
     return EvenWindow(window, RootDistribution(assignment))
-
-
-@dataclass(frozen=True)
-class Strip:
-    """Height-1 strip between vertex lines ``index`` and ``index + 1``."""
-
-    index: int
-    faces: tuple[Face, ...]
-
-
-def strip_decomposition(window: EvenWindow, axis: Direction) -> list[Strip]:
-    """Decompose the window into height-1 strips bounded by rank-2 lines
-    parallel to ``axis``.  Fails when some vertex selects the axis itself."""
-    for v in sorted(window.region.vertex_set()):
-        if window.delta[v] == axis:
-            raise ValueError(
-                f"axis {axis} is not everywhere rank 2: selected at vertex {v}"
-            )
-    by_index: dict[int, list[Face]] = {}
-    for f in window.region:
-        k = min(row_index(c, axis) for c in face_corners(f))
-        by_index.setdefault(k, []).append(f)
-    return [
-        Strip(k, tuple(sorted(by_index[k], key=_face_sort_key)))
-        for k in sorted(by_index)
-    ]
 
 
 def _row_structure(window: EvenWindow) -> StripUnion | None:

@@ -11,7 +11,6 @@ usage or input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -71,8 +70,7 @@ def _cmd_parity(args) -> int:
     delta = files.parse_rdist(_read(args.rdist))
     region = files.parse_region(_read(args.region))
     result = induced_parity(delta, region)
-    text = files.pdist_json_lines(result) if args.format == "json" else files.pdist_text(result)
-    _write_out(text, args.out)
+    _write_out(files.emit(result, args.format), args.out)
     return 0
 
 
@@ -84,28 +82,15 @@ def _cmd_realize(args) -> int:
         if not witnesses:
             print("UNSAT")
             return 1
-        chunks = []
-        for i, w in enumerate(witnesses):
-            if args.format == "json":
-                # same record fields as the plain format, plus a solution index
-                rows = [
-                    {"type": "V", "a": v.a, "b": v.b, "direction": str(d), "solution": i}
-                    for v, d in w.items()
-                ]
-                chunks.extend(json.dumps(r, sort_keys=True) + "\n" for r in rows)
-            else:
-                chunks.append(f"# solution {i}\n")
-                chunks.append(files.rdist_text(w))
+        if args.format == "json":
+            chunks = [files.json_lines(w, solution=i) for i, w in enumerate(witnesses)]
+        else:
+            chunks = [f"# solution {i}\n" + files.rdist_text(w) for i, w in enumerate(witnesses)]
         _write_out("".join(chunks), args.out)
         return 0
     outcome = realizer.realize(target, region)
     if isinstance(outcome, realizer.Sat):
-        text = (
-            files.rdist_json_lines(outcome.witness)
-            if args.format == "json"
-            else files.rdist_text(outcome.witness)
-        )
-        _write_out(text, args.out)
+        _write_out(files.emit(outcome.witness, args.format), args.out)
         return 0
     print("UNSAT")
     print(f"nodes={outcome.stats.nodes} propagations={outcome.stats.propagations}")
@@ -166,10 +151,7 @@ def _cmd_pauli(args) -> int:
     if args.what == "roots":
         labelling = files.parse_pzl(_read(args.pzl))
         delta = pauli.induced_roots(labelling, region)
-        text = (
-            files.rdist_json_lines(delta) if args.format == "json" else files.rdist_text(delta)
-        )
-        _write_out(text, args.out)
+        _write_out(files.emit(delta, args.format), args.out)
         return 0
     if args.what == "even":
         labelling = files.parse_pzl(_read(args.pzl))
@@ -184,10 +166,7 @@ def _cmd_pauli(args) -> int:
         (_parse_seed_face(s[4], s[5], s[6]), s[7]),
     )
     labelling = pauli.extend(delta, region, seed)
-    text = (
-        files.pzl_json_lines(labelling) if args.format == "json" else files.pzl_text(labelling)
-    )
-    _write_out(text, args.out)
+    _write_out(files.emit(labelling, args.format), args.out)
     return 0
 
 
@@ -232,19 +211,12 @@ def _cmd_gen(args) -> int:
             if delta is None:  # cannot happen: the all-even target is realizable
                 raise RuntimeError("sampling failed on an all-even target")
             chunks.append(f"# sample {i}\n")
-            chunks.append(
-                files.rdist_json_lines(delta) if args.format == "json" else files.rdist_text(delta)
-            )
+            chunks.append(files.emit(delta, args.format))
         _write_out("".join(chunks), args.out)
         if args.region_out:
             Path(args.region_out).write_text(files.region_text(region), encoding="utf-8")
         return 0
-    text = (
-        files.rdist_json_lines(window.delta)
-        if args.format == "json"
-        else files.rdist_text(window.delta)
-    )
-    _write_out(text, args.out)
+    _write_out(files.emit(window.delta, args.format), args.out)
     if args.region_out:
         Path(args.region_out).write_text(files.region_text(window.region), encoding="utf-8")
     return 0

@@ -12,12 +12,10 @@ solver code can never silently read an unassigned vertex or face.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .lattice import (
     AxialPoint,
-    Direction,
     Face,
     LatticeIso,
     Region,
@@ -25,48 +23,58 @@ from .lattice import (
     opposite_edge_direction,
 )
 
-RANK_TWO = Fraction(2)
-RANK_THREE_HALVES = Fraction(3, 2)
-
 
 class MissingAssignment(KeyError):
     """A distribution was evaluated outside its domain."""
 
 
-class RootDistribution:
-    """Partial map vertex -> Direction (immutable after construction)."""
+class PartialMap:
+    """Immutable partial map whose lookups outside the domain raise
+    MissingAssignment.  Subclasses name the assignment in ``_missing`` and
+    check their own values."""
 
     __slots__ = ("_map",)
+    _missing = "no value assigned at"
 
-    def __init__(self, assignment: Mapping[AxialPoint, Direction]):
+    def __init__(self, assignment: Mapping):
         self._map = dict(assignment)
 
-    def __getitem__(self, x: AxialPoint) -> Direction:
+    def __getitem__(self, key):
         try:
-            return self._map[x]
+            return self._map[key]
         except KeyError:
-            raise MissingAssignment(f"no direction assigned at vertex {x}") from None
+            raise MissingAssignment(f"{self._missing} {key}") from None
 
-    def __contains__(self, x: AxialPoint) -> bool:
-        return x in self._map
+    def __contains__(self, key) -> bool:
+        return key in self._map
 
     def __len__(self) -> int:
         return len(self._map)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RootDistribution) and self._map == other._map
+        return type(other) is type(self) and self._map == other._map
 
     def __hash__(self) -> int:
         return hash(frozenset(self._map.items()))
 
     def __repr__(self) -> str:
-        return f"RootDistribution({len(self._map)} vertices)"
+        return f"{type(self).__name__}({len(self._map)} entries)"
 
-    def domain(self) -> frozenset[AxialPoint]:
+    def domain(self) -> frozenset:
         return frozenset(self._map)
 
-    def items(self) -> Iterator[tuple[AxialPoint, Direction]]:
-        return iter(sorted(self._map.items()))
+    def items(self) -> Iterator[tuple]:
+        """The assignments in ascending key order."""
+        m = self._map
+        return ((k, m[k]) for k in sorted(m))
+
+
+class RootDistribution(PartialMap):
+    """Partial map vertex -> Direction.  Values are not checked: the solver
+    builds many witnesses and only ever stores Directions."""
+
+    __slots__ = ()
+    _missing = "no direction assigned at vertex"
 
     def transform(self, iso: LatticeIso) -> "RootDistribution":
         """Push the distribution forward along a lattice isometry."""
@@ -75,49 +83,23 @@ class RootDistribution:
         )
 
     def restrict(self, vertices: Iterable[AxialPoint]) -> "RootDistribution":
-        return RootDistribution({x: self._map[x] for x in vertices})
+        try:
+            return RootDistribution({x: self._map[x] for x in vertices})
+        except KeyError as exc:
+            raise MissingAssignment(f"{self._missing} {exc.args[0]}") from None
 
 
-class ParityDistribution:
-    """Partial map face -> {0, 1} (immutable after construction)."""
+class ParityDistribution(PartialMap):
+    """Partial map face -> {0, 1}."""
 
-    __slots__ = ("_map",)
+    __slots__ = ()
+    _missing = "no parity assigned on face"
 
     def __init__(self, assignment: Mapping[Face, int]):
-        for f, p in assignment.items():
+        super().__init__(assignment)
+        for f, p in self._map.items():
             if p not in (0, 1):
                 raise ValueError(f"parity of {f} must be 0 or 1, got {p!r}")
-        self._map = dict(assignment)
-
-    def __getitem__(self, f: Face) -> int:
-        try:
-            return self._map[f]
-        except KeyError:
-            raise MissingAssignment(f"no parity assigned on face {f}") from None
-
-    def __contains__(self, f: Face) -> bool:
-        return f in self._map
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ParityDistribution) and self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
-
-    def __repr__(self) -> str:
-        odd = sum(self._map.values())
-        return f"ParityDistribution({len(self._map)} faces, {odd} odd)"
-
-    def domain(self) -> frozenset[Face]:
-        return frozenset(self._map)
-
-    def items(self) -> Iterator[tuple[Face, int]]:
-        from .lattice import _face_sort_key
-
-        return iter(sorted(self._map.items(), key=lambda kv: _face_sort_key(kv[0])))
 
     def region(self) -> Region:
         return Region(frozenset(self._map))
@@ -151,9 +133,3 @@ def induced_parity(delta: RootDistribution, region: Region) -> ParityDistributio
 
 def is_even(delta: RootDistribution, region: Region) -> bool:
     return all(face_parity(delta, f) == 0 for f in region.faces)
-
-
-def direction_rank(delta: RootDistribution, x: AxialPoint, d: Direction) -> Fraction:
-    """Rank of the roots along axis ``d`` at ``x``: 3/2 on the selected axis,
-    2 on the other two."""
-    return RANK_THREE_HALVES if delta[x] == d else RANK_TWO

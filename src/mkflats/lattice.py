@@ -68,7 +68,9 @@ def direction_of(da: int, db: int) -> Direction:
     raise ValueError(f"vector ({da}, {db}) is not parallel to a lattice axis")
 
 
-class Orientation(Enum):
+class Orientation(str, Enum):
+    """Up or down; ordered by value, so Down sorts before Up."""
+
     UP = "U"
     DOWN = "D"
 
@@ -139,11 +141,6 @@ def face_edge_neighbors(f: Face) -> tuple[Face, Face, Face]:
     return (Face.up(a, b), Face.up(a + 1, b), Face.up(a, b + 1))
 
 
-def large_triangle(f: Face) -> frozenset[Face]:
-    """``f`` together with its three edge neighbors (side-2 triangle in the plane)."""
-    return frozenset((f,) + face_edge_neighbors(f))
-
-
 def faces_around_vertex(x: AxialPoint) -> tuple[Face, ...]:
     """The six faces containing ``x``, counterclockwise starting from Up(x).
 
@@ -183,7 +180,7 @@ class Region:
         return len(self.faces)
 
     def __iter__(self) -> Iterator[Face]:
-        return iter(sorted(self.faces, key=_face_sort_key))
+        return iter(sorted(self.faces))
 
     def vertex_set(self) -> frozenset[AxialPoint]:
         return _region_vertices(self)
@@ -193,10 +190,6 @@ class Region:
 
     def union(self, other: "Region") -> "Region":
         return Region(self.faces | other.faces)
-
-
-def _face_sort_key(f: Face) -> tuple[int, int, str]:
-    return (f.a, f.b, f.orientation.value)
 
 
 @lru_cache(maxsize=None)
@@ -285,19 +278,6 @@ class LatticeIso:
 
     linear: tuple[int, int, int, int]
     shift: AxialPoint
-
-    @staticmethod
-    def identity() -> "LatticeIso":
-        return LatticeIso(_IDENTITY, AxialPoint(0, 0))
-
-    @staticmethod
-    def rotation60(k: int, about: AxialPoint = AxialPoint(0, 0)) -> "LatticeIso":
-        m = _IDENTITY
-        for _ in range(k % 6):
-            m = _mat_mul(_ROT60, m)
-        base = LatticeIso(m, AxialPoint(0, 0))
-        moved = base.apply_point(about)
-        return LatticeIso(m, about - moved)
 
     def apply_point(self, p: AxialPoint) -> AxialPoint:
         m = self.linear

@@ -16,10 +16,11 @@ some vertex word agrees on it, never by guessing.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .distributions import (
     MissingAssignment,
+    PartialMap,
     RootDistribution,
     face_parity,
 )
@@ -28,7 +29,6 @@ from .lattice import (
     Direction,
     Face,
     Region,
-    _face_sort_key,
     face_corners,
     face_edge_neighbors,
     faces_around_vertex,
@@ -57,48 +57,22 @@ class ExtensionStalled(ValueError):
 
     def __init__(self, unreached: frozenset[Face]):
         self.unreached = unreached
-        names = ", ".join(str(f) for f in sorted(unreached, key=_face_sort_key)[:4])
+        names = ", ".join(str(f) for f in sorted(unreached)[:4])
         more = "..." if len(unreached) > 4 else ""
         super().__init__(f"{len(unreached)} faces could not be forced: {names}{more}")
 
 
-class PauliLabelling:
-    """Partial map face -> one of "X", "Y", "Z" (immutable after construction)."""
+class PauliLabelling(PartialMap):
+    """Partial map face -> one of "X", "Y", "Z"."""
 
-    __slots__ = ("_map",)
+    __slots__ = ()
+    _missing = "no label assigned on face"
 
     def __init__(self, labels: Mapping[Face, str]):
-        for f, lab in labels.items():
+        super().__init__(labels)
+        for f, lab in self._map.items():
             if lab not in LABELS:
                 raise ValueError(f"label of {f} must be one of {LABELS}, got {lab!r}")
-        self._map = dict(labels)
-
-    def __getitem__(self, f: Face) -> str:
-        try:
-            return self._map[f]
-        except KeyError:
-            raise MissingAssignment(f"no label assigned on face {f}") from None
-
-    def __contains__(self, f: Face) -> bool:
-        return f in self._map
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PauliLabelling) and self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
-
-    def __repr__(self) -> str:
-        return f"PauliLabelling({len(self._map)} faces)"
-
-    def domain(self) -> frozenset[Face]:
-        return frozenset(self._map)
-
-    def items(self) -> Iterator[tuple[Face, str]]:
-        return iter(sorted(self._map.items(), key=lambda kv: _face_sort_key(kv[0])))
 
 
 def word_direction(word: str) -> Direction:

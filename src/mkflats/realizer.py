@@ -8,10 +8,11 @@ deterministic: vertices ascending by (a, b), values in order D0 < D1 < D2, so
 the first witness found is the lexicographically least one and Unsat outcomes
 carry reproducible search statistics.
 
-The module also bundles a parity pattern on a union of six radius-1 hexagons
-that no root distribution realizes; exhausting its search tree is the
-machine check that such patterns exist (the interesting negative result this
-solver was built to confirm).
+The module also bundles a parity pattern on the union of the radius-4
+hexagons about the three corners of the face D(-1,0) that no root
+distribution realizes; exhausting its search tree is the machine check that
+such patterns exist (the interesting negative result this solver was built to
+confirm).
 """
 
 from __future__ import annotations
@@ -252,6 +253,8 @@ def enumerate_realizations(
     target: ParityDistribution, region: Region, limit: int | None = None
 ) -> list[RootDistribution]:
     """Up to ``limit`` witnesses in lexicographic order (all of them if None)."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     problem = _Problem(target, region)
     stats = _Stats()
     out = []
@@ -325,9 +328,9 @@ def verify_hexagon_theorem() -> bool:
     return all(isinstance(o, Sat) for _, o in hexagon_pattern_outcomes())
 
 
-# The bundled pattern is supported on six radius-1 hexagons arranged with an
-# order-3 rotational symmetry about the face Down(-1, 0); that face is the
-# natural focus for case analysis.
+# The bundled pattern lives on the union of the radius-4 hexagons about the
+# three corners of the face Down(-1, 0) and has an order-3 rotational symmetry
+# about that face, which makes it the natural focus for case analysis.
 COUNTEREXAMPLE_FOCUS_FACE = Face.down(-1, 0)
 
 

@@ -18,7 +18,6 @@ from .lattice import (
     DIRECTION_STEPS,
     AxialPoint,
     Region,
-    _face_sort_key,
     face_corners,
 )
 from .pauli import PauliLabelling
@@ -68,7 +67,7 @@ def render(
     Every supplied input must cover the region; anything missing is an error,
     never silently skipped.
     """
-    faces = sorted(region.faces, key=_face_sort_key)
+    faces = sorted(region.faces)
     if not faces:
         raise ValueError("cannot render an empty region")
     verts = sorted(region.vertex_set())

@@ -41,7 +41,6 @@ from mkflats.classifier import (
     propagate_even,
     row_index,
     sector_region,
-    strip_decomposition,
     t_flat_direction,
     t_flat_window_region,
     window_radius,
@@ -240,24 +239,6 @@ def test_row_constancy_law_exact_small_window(axis):
                 break
         even = all(face_parity(delta, f) == 0 for f in region.faces)
         assert even == constant
-
-
-def test_strip_decomposition():
-    region = rhombus(P(0, 0), 8, 8)
-    alternating = build_strip_union(
-        D0, {b: (D1 if b % 2 else D2) for b in range(9)}, region
-    )
-    strips = strip_decomposition(alternating, D0)
-    assert [s.index for s in strips] == list(range(8))
-    assert sum(len(s.faces) for s in strips) == len(region)
-    # the parallel distribution decomposes along either transverse axis
-    parallel = build_strip_union(D0, {b: D1 for b in range(9)}, region)
-    for axis in (D0, D2):
-        assert strip_decomposition(parallel, axis)
-    with pytest.raises(ValueError):
-        strip_decomposition(parallel, D1)  # D1 is selected everywhere
-    with pytest.raises(ValueError):
-        strip_decomposition(build_t_flat(P(0, 0), 3), D0)
 
 
 # ---------------------------------------------------------------------------

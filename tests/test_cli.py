@@ -83,6 +83,9 @@ def test_realize_all_enumerates(tmp_path, capsys):
     assert out.count("# solution") == 13
     assert main(["realize", "--parity", path, "--limit", "4"]) == 0
     assert capsys.readouterr().out.count("# solution") == 4
+    assert main(["realize", "--parity", path, "--limit", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
     assert main(["realize", "--parity", path, "--all", "--format", "json"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert {row["solution"] for row in rows} == set(range(13))
@@ -205,3 +208,15 @@ def test_render_gliders_requires_rdist(tmp_path, capsys):
     region = region_file(tmp_path, hexagon(P(0, 0), 2))
     assert main(["render", "--region", region, "--layers", "faces,gliders"]) == 2
     assert "gliders layer needs --rdist" in capsys.readouterr().err
+
+
+def test_rdist_missing_a_region_vertex_is_an_input_error(tmp_path, capsys):
+    region = hexagon(P(0, 0), 4)
+    vertices = sorted(region.vertex_set())
+    delta = RootDistribution({v: D.D0 for v in vertices[1:]})
+    rpath = region_file(tmp_path, region)
+    dpath = rdist_file(tmp_path, delta)
+    assert main(["classify", "--rdist", dpath, "--region", rpath]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["render", "--region", rpath, "--rdist", dpath, "--layers", "gliders"]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -3,14 +3,12 @@
 from itertools import product
 
 import pytest
-from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from mkflats.distributions import (
     MissingAssignment,
     ParityDistribution,
     RootDistribution,
-    direction_rank,
     face_parity,
     induced_parity,
     is_even,
@@ -132,17 +130,6 @@ def test_three_odd_panels_cover_all_classes():
         if sum(bits) == 3
     }
     assert classes == all_weight3
-
-
-def test_direction_rank():
-    delta = RootDistribution({P(0, 0): D0})
-    assert direction_rank(delta, P(0, 0), D0) == Fraction(3, 2)
-    assert direction_rank(delta, P(0, 0), D1) == Fraction(2)
-    assert direction_rank(delta, P(0, 0), D2) == Fraction(2)
-    ranks = [direction_rank(delta, P(0, 0), d) for d in ALL_DIRS]
-    assert ranks.count(Fraction(3, 2)) == 1
-    with pytest.raises(MissingAssignment):
-        direction_rank(delta, P(1, 1), D0)
 
 
 @given(

@@ -97,20 +97,23 @@ def test_serialization_is_sorted_and_stable():
 
 def test_json_lines_fields():
     parity = ParityDistribution({Face.up(0, 0): 1, Face.down(2, -1): 0})
-    rows = [json.loads(line) for line in files.pdist_json_lines(parity).splitlines()]
+    rows = [json.loads(line) for line in files.json_lines(parity).splitlines()]
     assert rows == [
         {"type": "F", "a": 0, "b": 0, "o": "U", "parity": 1},
         {"type": "F", "a": 2, "b": -1, "o": "D", "parity": 0},
     ]
     delta = RootDistribution({P(1, 2): Direction.D2})
-    assert json.loads(files.rdist_json_lines(delta)) == {
+    assert json.loads(files.json_lines(delta)) == {
         "type": "V", "a": 1, "b": 2, "direction": "D2",
     }
+    assert json.loads(files.json_lines(delta, solution=3)) == {
+        "type": "V", "a": 1, "b": 2, "direction": "D2", "solution": 3,
+    }
     labelling = PauliLabelling({Face.up(0, 0): "Y"})
-    assert json.loads(files.pzl_json_lines(labelling)) == {
+    assert json.loads(files.json_lines(labelling)) == {
         "type": "F", "a": 0, "b": 0, "o": "U", "label": "Y",
     }
     region = Region(frozenset({Face.down(0, 1)}))
-    assert json.loads(files.region_json_lines(region)) == {
+    assert json.loads(files.json_lines(region)) == {
         "type": "F", "a": 0, "b": 1, "o": "D",
     }

@@ -22,7 +22,6 @@ from mkflats.lattice import (
     hex_distance,
     hexagon,
     iso_from_frames,
-    large_triangle,
     opposite_edge_direction,
     rhombus,
 )
@@ -59,24 +58,38 @@ def test_opposite_edge_direction_is_bijective(f):
     assert dirs == {Direction.D0, Direction.D1, Direction.D2}
 
 
-def test_large_triangle_examples():
-    assert large_triangle(Face.down(0, 0)) == frozenset(
-        {Face.down(0, 0), Face.up(0, 0), Face.up(1, 0), Face.up(0, 1)}
+def test_face_edge_neighbors_examples():
+    assert frozenset(face_edge_neighbors(Face.down(0, 0))) == frozenset(
+        {Face.up(0, 0), Face.up(1, 0), Face.up(0, 1)}
     )
-    assert large_triangle(Face.up(0, 0)) == frozenset(
-        {Face.up(0, 0), Face.down(0, 0), Face.down(-1, 0), Face.down(0, -1)}
+    assert frozenset(face_edge_neighbors(Face.up(0, 0))) == frozenset(
+        {Face.down(0, 0), Face.down(-1, 0), Face.down(0, -1)}
     )
 
 
 @given(faces)
-def test_large_triangle_shape(f):
-    lt = large_triangle(f)
-    assert len(lt) == 4
-    for g in face_edge_neighbors(f):
+def test_face_edge_neighbors_shape(f):
+    neighbors = face_edge_neighbors(f)
+    assert len(set(neighbors)) == 3
+    for g in neighbors:
         assert g.orientation != f.orientation
         assert len(set(face_corners(f)) & set(face_corners(g))) == 2
-        # mutual membership of large triangles for edge-adjacent faces
-        assert (g in large_triangle(f)) == (f in large_triangle(g))
+        # edge adjacency is symmetric
+        assert f in face_edge_neighbors(g)
+
+
+def test_face_order_is_coordinates_then_down_before_up():
+    assert Face.down(0, 0) < Face.up(0, 0)
+    block = [Face(a, b, o) for a in (-1, 0, 1) for b in (-1, 0, 1) for o in Orientation]
+
+    def key(h):
+        return (h.a, h.b, h.orientation.value)
+
+    assert sorted(block) == sorted(block, key=key)
+    for f in block:
+        for g in block:
+            assert (f < g) == (key(f) < key(g))
+            assert (f >= g) == (key(f) >= key(g))
 
 
 def test_faces_around_vertex_origin():
@@ -212,7 +225,7 @@ def test_point_group_order():
 
 
 def test_rotation60_cycles_directions():
-    rot = LatticeIso.rotation60(1)
+    rot = LatticeIso(POINT_GROUP[2], P(0, 0))  # e1 -> e2, e2 -> e2 - e1
     assert rot.apply_direction(Direction.D0) == Direction.D1
     assert rot.apply_direction(Direction.D1) == Direction.D2
     assert rot.apply_direction(Direction.D2) == Direction.D0

@@ -212,9 +212,18 @@ def test_enumerate_respects_limit_and_order():
     all_sols = enumerate_realizations(target, region)
     limited = enumerate_realizations(target, region, limit=5)
     assert limited == all_sols[:5]
+    assert enumerate_realizations(target, region, limit=1) == all_sols[:1]
     verts = sorted(region.vertex_set())
     keys = [tuple(w[v] for v in verts) for w in all_sols]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_enumerate_rejects_limit_below_one(limit):
+    region = hexagon(P(0, 0), 1)
+    target = ParityDistribution.constant(region, 0)
+    with pytest.raises(ValueError, match="limit"):
+        enumerate_realizations(target, region, limit=limit)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
