@@ -4,8 +4,8 @@ Every subcommand is a thin adapter over the library modules: file parsing,
 argument handling, and printing live here, the mathematics does not.
 
 Exit codes: 0 for a positive outcome (Sat, verified, generated), 1 for a
-negative verdict reached normally (Unsat, check failed, undetermined), 2 for
-usage or input errors.
+negative verdict reached normally (Unsat, check failed, undetermined, stalled
+extension), 2 for usage or input errors.
 """
 
 from __future__ import annotations
@@ -165,7 +165,11 @@ def _cmd_pauli(args) -> int:
         (_parse_seed_face(s[0], s[1], s[2]), s[3]),
         (_parse_seed_face(s[4], s[5], s[6]), s[7]),
     )
-    labelling = pauli.extend(delta, region, seed)
+    try:
+        labelling = pauli.extend(delta, region, seed)
+    except pauli.ExtensionStalled as exc:
+        print(f"extension stalled: {exc}", file=sys.stderr)
+        return 1
     _write_out(files.emit(labelling, args.format), args.out)
     return 0
 
@@ -378,7 +382,13 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("pauli extend requires --rdist and --seed")
     try:
         return args.func(args)
-    except (files.FormatError, MissingAssignment, ValueError, OSError) as exc:
+    except (
+        files.FormatError,
+        MissingAssignment,
+        ValueError,
+        OSError,
+        pauli.LabellingIntegrityError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

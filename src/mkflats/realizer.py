@@ -2,11 +2,14 @@
 root distribution.
 
 The decision procedure is classic backtracking over vertex domains with
-per-face generalized arc consistency.  Each face constraint has arity 3 over
-domains of size at most 3, so full GAC is a cheap table check.  Branching is
-deterministic: vertices ascending by (a, b), values in order D0 < D1 < D2, so
-the first witness found is the lexicographically least one and Unsat outcomes
-carry reproducible search statistics.
+per-face generalized arc consistency (GAC).  A domain is a 3-bit mask, so the
+three corner domains of a face pack into 9 bits, and a face constraint depends
+only on the face's orientation and target parity.  Full GAC is therefore one
+lookup in a 512-entry table per face; there is one table per (orientation,
+parity), each built on first use.  Branching is deterministic: vertices
+ascending by (a, b), values in order D0 < D1 < D2, so the first witness found
+is the lexicographically least one, and Sat and Unsat outcomes alike carry
+reproducible search statistics.
 
 The module also bundles a parity pattern on the union of the radius-4
 hexagons about the three corners of the face D(-1,0) that no root
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from itertools import product
 from typing import Callable, Iterator, Mapping
@@ -32,6 +36,7 @@ from .lattice import (
     AxialPoint,
     Direction,
     Face,
+    Orientation,
     Region,
     face_corners,
     opposite_edge_direction,
@@ -67,6 +72,7 @@ class SearchStats:
 @dataclass(frozen=True)
 class Sat:
     witness: RootDistribution
+    stats: SearchStats
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,47 @@ class CSPState:
 # ---------------------------------------------------------------------------
 
 
+# Per orientation, in face_corners order: each corner's offset from the
+# face's (a, b), and the axis of the edge opposite it.
+_CORNER_OFFSETS = {
+    o: tuple((c.a, c.b) for c in face_corners(Face(0, 0, o))) for o in Orientation
+}
+_OPPOSITE_AXES = {
+    o: tuple(
+        int(opposite_edge_direction(Face(0, 0, o), c)) for c in face_corners(Face(0, 0, o))
+    )
+    for o in Orientation
+}
+
+
+@lru_cache(maxsize=4)
+def _gac_table(orientation: Orientation, parity: int) -> tuple[int, ...]:
+    """GAC on one face of this orientation and target parity, as a table from
+    the packed corner domains ``m0 | m1 << 3 | m2 << 6`` to the packed pruned
+    domains: each corner keeps the values that some parity-``parity`` corner
+    assignment inside the domains uses, and all three empty when none does."""
+    o0, o1, o2 = _OPPOSITE_AXES[orientation]
+    supports = [
+        1 << d0 | 1 << (d1 + 3) | 1 << (d2 + 6)
+        for d0, d1, d2 in product(range(3), repeat=3)
+        if ((d0 != o0) + (d1 != o1) + (d2 != o2)) & 1 == parity
+    ]
+    table = []
+    for packed in range(512):
+        pruned = 0
+        for s in supports:
+            if s & packed == s:
+                pruned |= s
+        table.append(pruned)
+    return tuple(table)
+
+
 class _Problem:
+    """A target compiled to integers: vertices ascending (``vindex`` maps
+    (a, b) to a vertex index), faces ascending as (i0, i1, i2, table) with
+    corner indices in face_corners order and the GAC table of the face's
+    orientation and parity, and for each vertex the indices of its faces."""
+
     __slots__ = ("vertices", "vindex", "faces", "vertex_faces")
 
     def __init__(self, target: ParityDistribution, region: Region):
@@ -109,26 +155,17 @@ class _Problem:
         if extra:
             raise ValueError(f"target parity defined off the region: {sorted(extra)[:3]}")
         self.vertices = tuple(sorted(region.vertex_set()))
-        self.vindex = {v: i for i, v in enumerate(self.vertices)}
+        self.vindex = at = {(v.a, v.b): i for i, v in enumerate(self.vertices)}
         faces = []
         vertex_faces: list[list[int]] = [[] for _ in self.vertices]
-        for f in region:
-            corners = face_corners(f)
-            idx = tuple(self.vindex[c] for c in corners)
-            opp = tuple(int(opposite_edge_direction(f, c)) for c in corners)
-            faces.append(idx + opp + (target[f],))
+        for fi, f in enumerate(region):
+            a, b = f.a, f.b
+            idx = tuple(at[a + da, b + db] for da, db in _CORNER_OFFSETS[f.orientation])
+            faces.append(idx + (_gac_table(f.orientation, target[f]),))
             for i in idx:
-                vertex_faces[i].append(len(faces) - 1)
+                vertex_faces[i].append(fi)
         self.faces = tuple(faces)
         self.vertex_faces = tuple(tuple(fs) for fs in vertex_faces)
-
-
-def _parity_options(mask: int, opp: int) -> tuple[bool, bool]:
-    """Whether the domain ``mask`` can contribute a match (parity 0) or a
-    mismatch (parity 1) against the opposite-edge direction ``opp``."""
-    can_match = bool(mask & (1 << opp))
-    can_mismatch = bool(mask & ~(1 << opp) & _FULL)
-    return can_match, can_mismatch
 
 
 class _Stats:
@@ -143,33 +180,42 @@ class _Stats:
 
 
 def _propagate(problem: _Problem, domains: list[int], stats: _Stats, queue=None) -> bool:
-    """Enforce per-face GAC to fixpoint.  Returns False on an emptied domain."""
-    pending = set(range(len(problem.faces))) if queue is None else set(queue)
+    """Enforce per-face GAC to fixpoint, one table lookup per face.  Returns
+    False on an emptied domain.  ``propagations`` counts removed values."""
+    faces = problem.faces
+    vertex_faces = problem.vertex_faces
+    pending = set(range(len(faces))) if queue is None else set(queue)
+    pop = pending.pop
+    update = pending.update
+    removed = 0
     while pending:
-        fi = pending.pop()
-        i0, i1, i2, o0, o1, o2, t = problem.faces[fi]
-        idx = (i0, i1, i2)
-        opp = (o0, o1, o2)
-        for j in range(3):
-            vj = idx[j]
-            mask = domains[vj]
-            ja, jb = (j + 1) % 3, (j + 2) % 3
-            pa = _parity_options(domains[idx[ja]], opp[ja])
-            pb = _parity_options(domains[idx[jb]], opp[jb])
-            new = 0
-            for d in range(3):
-                bit = 1 << d
-                if not mask & bit:
-                    continue
-                need = t ^ (d != opp[j])
-                if (pa[0] and pb[need]) or (pa[1] and pb[1 - need]):
-                    new |= bit
-            if new != mask:
-                stats.propagations += bin(mask & ~new).count("1")
-                domains[vj] = new
-                if new == 0:
-                    return False
-                pending.update(problem.vertex_faces[vj])
+        i0, i1, i2, table = faces[pop()]
+        m0 = domains[i0]
+        m1 = domains[i1]
+        m2 = domains[i2]
+        old = m0 | m1 << 3 | m2 << 6
+        new = table[old]
+        if new == old:
+            continue
+        if not new:
+            # No supporting assignment.  Revising the corners in order, the
+            # first non-empty one empties and the search stops there.
+            stats.propagations += removed + (m0 or m1 or m2).bit_count()
+            return False
+        removed += (old ^ new).bit_count()
+        n = new & 7
+        if n != m0:
+            domains[i0] = n
+            update(vertex_faces[i0])
+        n = new >> 3 & 7
+        if n != m1:
+            domains[i1] = n
+            update(vertex_faces[i1])
+        n = new >> 6
+        if n != m2:
+            domains[i2] = n
+            update(vertex_faces[i2])
+    stats.propagations += removed
     return True
 
 
@@ -245,7 +291,7 @@ def realize(target: ParityDistribution, region: Region) -> SolveOutcome:
     problem = _Problem(target, region)
     stats = _Stats()
     for assignment in _solutions(problem, [_FULL] * len(problem.vertices), stats):
-        return Sat(_witness(problem, assignment))
+        return Sat(_witness(problem, assignment), stats.frozen())
     return Unsat(stats.frozen())
 
 
@@ -274,10 +320,10 @@ def realize_with_domains(
     problem = _Problem(target, region)
     domains = [_FULL] * len(problem.vertices)
     for v, d in fixed.items():
-        domains[problem.vindex[v]] = 1 << int(d)
+        domains[problem.vindex[v.a, v.b]] = 1 << int(d)
     stats = _Stats()
     for assignment in _solutions(problem, domains, stats):
-        return Sat(_witness(problem, assignment))
+        return Sat(_witness(problem, assignment), stats.frozen())
     return Unsat(stats.frozen())
 
 

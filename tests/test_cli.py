@@ -7,7 +7,8 @@ import pytest
 from mkflats import files
 from mkflats.cli import main
 from mkflats.distributions import ParityDistribution, RootDistribution
-from mkflats.lattice import AxialPoint, Direction, Face, hexagon
+from mkflats.lattice import AxialPoint, Direction, Face, faces_around_vertex, hexagon
+from mkflats.pauli import PauliLabelling
 from mkflats.realizer import counterexample_parity
 
 P, D = AxialPoint, Direction
@@ -164,6 +165,33 @@ def test_pauli_commands(tmp_path, capsys):
     assert main(["pauli", "roots", "--region", rpath, "--pzl", pzl]) == 0
     derived = files.parse_rdist(capsys.readouterr().out)
     assert all(derived[v] == D.D0 for v in derived.domain())
+
+
+def test_pauli_extend_stalled_is_a_negative_verdict(tmp_path, capsys):
+    # two far-apart hexagons as one region: the far one cannot be forced
+    region = hexagon(P(0, 0), 1).union(hexagon(P(30, 0), 1))
+    delta = RootDistribution({v: D.D0 for v in region.vertex_set()})
+    rpath = region_file(tmp_path, region)
+    dpath = rdist_file(tmp_path, delta)
+    out = str(tmp_path / "p.pzl")
+    assert main(["pauli", "extend", "--region", rpath, "--rdist", dpath,
+                 "--seed", "0", "0", "U", "X", "-1", "0", "D", "Y", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("extension stalled: 6 faces could not be forced: ")
+    assert "error:" not in captured.err
+    assert not (tmp_path / "p.pzl").exists()
+
+
+def test_pauli_roots_invalid_vertex_word_is_an_input_error(tmp_path, capsys):
+    region = hexagon(P(0, 0), 1)
+    labels = PauliLabelling(dict(zip(faces_around_vertex(P(0, 0)), "XYXYXY")))
+    rpath = region_file(tmp_path, region)
+    pzl = write(tmp_path, "bad.pzl", files.pzl_text(labels))
+    assert main(["pauli", "roots", "--region", rpath, "--pzl", pzl]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid vertex word 'XYXYXY'")
 
 
 def test_pauli_missing_flags_exit_2(tmp_path):

@@ -17,6 +17,7 @@ from mkflats.lattice import (
     AxialPoint,
     Direction,
     Face,
+    Orientation,
     Region,
     face_corners,
     faces_around_vertex,
@@ -25,9 +26,11 @@ from mkflats.lattice import (
 )
 from mkflats.realizer import (
     CONTRADICTION,
+    COUNTEREXAMPLE_FOCUS_FACE,
     CSPState,
     Contradiction,
     Sat,
+    SearchStats,
     Unsat,
     corner_assignments_with_parity,
     counterexample_parity,
@@ -129,6 +132,30 @@ def test_propagate_contradiction_is_a_value():
     out = propagate(state)
     assert out is CONTRADICTION
     assert repr(out) == "Contradiction"
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("parity", [0, 1])
+def test_propagate_single_face_is_exact_gac_on_every_domain(orientation, parity):
+    """Each of the 343 triples of non-empty corner domains: one face's
+    fixpoint keeps exactly the values some matching corner assignment uses,
+    and is a contradiction when there is none."""
+    f = Face(0, 0, orientation)
+    region = Region(frozenset({f}))
+    target = ParityDistribution({f: parity})
+    corners = face_corners(f)
+    assignments = corner_assignments_with_parity(f, parity)
+    nonempty = [
+        frozenset(d for d in ALL_DIRS if mask >> int(d) & 1) for mask in range(1, 8)
+    ]
+    for domains in product(nonempty, repeat=3):
+        given = dict(zip(corners, domains))
+        kept = [a for a in assignments if all(a[c] in given[c] for c in corners)]
+        out = propagate(CSPState(given, target, region))
+        if not kept:
+            assert out is CONTRADICTION, domains
+        else:
+            assert out.domains == {c: frozenset(a[c] for a in kept) for c in corners}, domains
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +300,24 @@ def test_realize_is_deterministic():
     assert isinstance(a, Sat) and a.witness == b.witness
 
 
+# Search counters are deterministic, so they are pinned exactly.
+@pytest.mark.parametrize(
+    "radius, nodes, propagations",
+    [(6, 63, 3830), (10, 103, 15730), (15, 153, 49670)],
+)
+def test_sat_carries_search_stats_all_even_hexagon(radius, nodes, propagations):
+    region = hexagon(P(0, 0), radius)
+    out = realize(ParityDistribution.constant(region, 0), region)
+    assert isinstance(out, Sat)
+    assert out.stats == SearchStats(nodes, propagations)
+
+
+def test_hexagon_pattern_search_stats():
+    outcomes = [o for _, o in hexagon_pattern_outcomes()]
+    assert sum(o.stats.nodes for o in outcomes) == 595
+    assert sum(o.stats.propagations for o in outcomes) == 1512
+
+
 # ---------------------------------------------------------------------------
 # the bundled non-realizable pattern
 # ---------------------------------------------------------------------------
@@ -283,9 +328,7 @@ def test_counterexample_is_unsat_and_deterministic():
     out2 = verify_counterexample()
     assert isinstance(out1, Unsat)
     assert out1.stats == out2.stats
-    assert out1.stats.nodes > 0 and out1.stats.propagations > 0
-    # generous regression cap on search effort
-    assert out1.stats.nodes < 10_000
+    assert out1.stats == SearchStats(287, 6319)
     target = counterexample_parity()
     assert enumerate_realizations(target, target.region()) == []
 
@@ -326,6 +369,17 @@ def test_disallowed_dozen_case_structure():
     region = target.region()
     for case in even_cases:
         assert isinstance(realize_with_domains(target, region, case), Unsat)
+
+
+def test_disallowed_dozen_search_stats():
+    target = counterexample_parity()
+    region = target.region()
+    cases = corner_assignments_with_parity(COUNTEREXAMPLE_FOCUS_FACE, 0)
+    stats = [realize_with_domains(target, region, case).stats for case in cases]
+    assert [(s.nodes, s.propagations) for s in stats] == [
+        (156, 3002), (0, 21), (0, 13), (171, 2103), (0, 27), (0, 28), (11, 235),
+        (181, 4296), (42, 419), (0, 22), (0, 13), (0, 18), (171, 2777),
+    ]
 
 
 def test_removing_any_odd_face_makes_it_realizable():
