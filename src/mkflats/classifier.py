@@ -10,7 +10,9 @@ propagation alone.
 
 On a finite window the verdict is necessarily three-valued; windows too small
 to contain a glider or to certify row structure come back Undetermined with a
-machine-readable reason.
+machine-readable reason.  Even parity propagation (``propagate_even``) is the
+realizer's GAC fixpoint under the all-even target, with None for a
+contradiction.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from .lattice import (
     AxialPoint,
     Direction,
     Face,
-    LatticeIso,
     Region,
     face_corners,
     hexagon,
     iso_from_frames,
 )
-from .realizer import CONTRADICTION, Contradiction, CSPState, propagate
+from .realizer import propagate
 
 MIN_CLASSIFY_RADIUS = 4
 
@@ -180,24 +181,19 @@ class EvenPropagation:
 def propagate_even(
     delta_partial: Mapping[AxialPoint, Direction] | RootDistribution,
     region: Region,
-) -> EvenPropagation | Contradiction:
-    """Propagate the all-even constraint from the seeded vertices; no search."""
-    seeds = dict(delta_partial.items())
-    vertices = region.vertex_set()
-    for v in seeds:
-        if v not in vertices:
-            raise ValueError(f"seed vertex {v} is outside the region")
-    state = CSPState(
-        {v: frozenset((d,)) for v, d in seeds.items()},
+) -> EvenPropagation | None:
+    """Propagate the all-even constraint from the seeded vertices; no search.
+    None when the seeds contradict evenness."""
+    fixpoint = propagate(
         ParityDistribution.constant(region, 0),
         region,
+        {v: (d,) for v, d in delta_partial.items()},
     )
-    fixpoint = propagate(state)
-    if fixpoint is CONTRADICTION:
-        return CONTRADICTION
+    if fixpoint is None:
+        return None
     forced = {}
     free = []
-    for v, domain in fixpoint.domains.items():
+    for v, domain in fixpoint.items():
         if len(domain) == 1:
             (forced[v],) = domain
         else:
@@ -339,7 +335,9 @@ def _row_structure(window: EvenWindow) -> StripUnion | None:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long-running caller does not keep every region it ever
+# classified; a census over one region still computes it once.
+@lru_cache(maxsize=8)
 def window_radius(region: Region) -> int:
     """Largest r such that some full radius-r hexagon of faces fits in the
     region (0 when not even a radius-1 hexagon fits)."""

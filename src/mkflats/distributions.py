@@ -15,12 +15,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .lattice import (
+    OPPOSITE_AXES,
     AxialPoint,
     Face,
     LatticeIso,
     Region,
     face_corners,
-    opposite_edge_direction,
 )
 
 
@@ -120,8 +120,8 @@ def face_parity(delta: RootDistribution, f: Face) -> int:
     by the side-2 triangle around ``f``.
     """
     mismatches = 0
-    for x in face_corners(f):
-        if delta[x] != opposite_edge_direction(f, x):
+    for x, axis in zip(face_corners(f), OPPOSITE_AXES[f.orientation]):
+        if delta[x] != axis:
             mismatches += 1
     return mismatches & 1
 
@@ -129,7 +129,3 @@ def face_parity(delta: RootDistribution, f: Face) -> int:
 def induced_parity(delta: RootDistribution, region: Region) -> ParityDistribution:
     """The parity distribution of ``delta`` on every face of ``region``."""
     return ParityDistribution({f: face_parity(delta, f) for f in region.faces})
-
-
-def is_even(delta: RootDistribution, region: Region) -> bool:
-    return all(face_parity(delta, f) == 0 for f in region.faces)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -98,13 +98,32 @@ class Face:
     def translate(self, da: int, db: int) -> "Face":
         return Face(self.a + da, self.b + db, self.orientation)
 
+    def __str__(self) -> str:
+        return f"{self.orientation}({self.a},{self.b})"
+
+
+# Face geometry per orientation, corners in the fixed order of the Face
+# definition: each corner's offset from the face's (a, b), and the axis of the
+# edge opposite that corner.
+CORNER_OFFSETS = {
+    Orientation.UP: ((0, 0), (1, 0), (0, 1)),
+    Orientation.DOWN: ((1, 0), (0, 1), (1, 1)),
+}
+OPPOSITE_AXES = {
+    Orientation.UP: (Direction.D2, Direction.D1, Direction.D0),
+    Orientation.DOWN: (Direction.D0, Direction.D1, Direction.D2),
+}
+
 
 def face_corners(f: Face) -> tuple[AxialPoint, AxialPoint, AxialPoint]:
     """The three corners of ``f`` in the fixed order of the Face definition."""
     a, b = f.a, f.b
-    if f.orientation is Orientation.UP:
-        return (AxialPoint(a, b), AxialPoint(a + 1, b), AxialPoint(a, b + 1))
-    return (AxialPoint(a + 1, b), AxialPoint(a, b + 1), AxialPoint(a + 1, b + 1))
+    (da0, db0), (da1, db1), (da2, db2) = CORNER_OFFSETS[f.orientation]
+    return (
+        AxialPoint(a + da0, b + db0),
+        AxialPoint(a + da1, b + db1),
+        AxialPoint(a + da2, b + db2),
+    )
 
 
 def face_from_corners(corners: Iterable[AxialPoint]) -> Face:
@@ -128,9 +147,7 @@ def opposite_edge_direction(f: Face, x: AxialPoint) -> Direction:
     corners = face_corners(f)
     if x not in corners:
         raise ValueError(f"{x} is not a corner of {f}")
-    p, q = (c for c in corners if c != x)
-    d = q - p
-    return direction_of(d.a, d.b)
+    return OPPOSITE_AXES[f.orientation][corners.index(x)]
 
 
 def face_edge_neighbors(f: Face) -> tuple[Face, Face, Face]:
@@ -183,28 +200,27 @@ class Region:
         return iter(sorted(self.faces))
 
     def vertex_set(self) -> frozenset[AxialPoint]:
-        return _region_vertices(self)
+        return self._vertices
 
     def interior_vertices(self) -> frozenset[AxialPoint]:
-        return _region_interior(self)
+        return self._interior
 
     def union(self, other: "Region") -> "Region":
         return Region(self.faces | other.faces)
 
+    # Computed once per Region and freed with it.
+    @cached_property
+    def _vertices(self) -> frozenset[AxialPoint]:
+        return frozenset(c for f in self.faces for c in face_corners(f))
 
-@lru_cache(maxsize=None)
-def _region_vertices(region: Region) -> frozenset[AxialPoint]:
-    return frozenset(c for f in region.faces for c in face_corners(f))
-
-
-@lru_cache(maxsize=None)
-def _region_interior(region: Region) -> frozenset[AxialPoint]:
-    # A vertex is interior iff all six of its incident faces lie in the region.
-    return frozenset(
-        v
-        for v in _region_vertices(region)
-        if all(g in region.faces for g in faces_around_vertex(v))
-    )
+    @cached_property
+    def _interior(self) -> frozenset[AxialPoint]:
+        # A vertex is interior iff all six of its incident faces lie in the region.
+        return frozenset(
+            v
+            for v in self._vertices
+            if all(g in self.faces for g in faces_around_vertex(v))
+        )
 
 
 def hexagon(center: AxialPoint, radius: int) -> Region:

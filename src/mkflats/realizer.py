@@ -9,7 +9,8 @@ lookup in a 512-entry table per face; there is one table per (orientation,
 parity), each built on first use.  Branching is deterministic: vertices
 ascending by (a, b), values in order D0 < D1 < D2, so the first witness found
 is the lexicographically least one, and Sat and Unsat outcomes alike carry
-reproducible search statistics.
+reproducible search statistics.  ``propagate`` exposes the GAC fixpoint
+alone: candidate sets in, pruned candidate sets or None out.
 
 The module also bundles a parity pattern on the union of the radius-4
 hexagons about the three corners of the face D(-1,0) that no root
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import product
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .distributions import (
     MissingAssignment,
@@ -33,34 +34,18 @@ from .distributions import (
     RootDistribution,
 )
 from .lattice import (
+    CORNER_OFFSETS,
+    OPPOSITE_AXES,
     AxialPoint,
     Direction,
     Face,
     Orientation,
     Region,
     face_corners,
-    opposite_edge_direction,
 )
 
 _FULL = 0b111
 _ALL_DIRECTIONS = (Direction.D0, Direction.D1, Direction.D2)
-
-
-class Contradiction:
-    """Sentinel value returned by propagate when a domain empties."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Contradiction"
-
-
-CONTRADICTION = Contradiction()
 
 
 @dataclass(frozen=True)
@@ -83,38 +68,11 @@ class Unsat:
 SolveOutcome = Sat | Unsat
 
 
-@dataclass(frozen=True)
-class CSPState:
-    """Search state: per-vertex candidate sets against a target parity."""
-
-    domains: Mapping[AxialPoint, frozenset[Direction]]
-    target: ParityDistribution
-    region: Region
-
-    @staticmethod
-    def initial(target: ParityDistribution, region: Region) -> "CSPState":
-        full = frozenset(_ALL_DIRECTIONS)
-        return CSPState(
-            {v: full for v in sorted(region.vertex_set())}, target, region
-        )
-
-
 # ---------------------------------------------------------------------------
-# Internal compiled form: integer indices and bitmask domains.
+# Internal compiled form: integer indices and bitmask domains.  It is built
+# per solve and never cached: callers may hold many regions, and the index
+# form of each would outlive its solve.
 # ---------------------------------------------------------------------------
-
-
-# Per orientation, in face_corners order: each corner's offset from the
-# face's (a, b), and the axis of the edge opposite it.
-_CORNER_OFFSETS = {
-    o: tuple((c.a, c.b) for c in face_corners(Face(0, 0, o))) for o in Orientation
-}
-_OPPOSITE_AXES = {
-    o: tuple(
-        int(opposite_edge_direction(Face(0, 0, o), c)) for c in face_corners(Face(0, 0, o))
-    )
-    for o in Orientation
-}
 
 
 @lru_cache(maxsize=4)
@@ -123,7 +81,7 @@ def _gac_table(orientation: Orientation, parity: int) -> tuple[int, ...]:
     the packed corner domains ``m0 | m1 << 3 | m2 << 6`` to the packed pruned
     domains: each corner keeps the values that some parity-``parity`` corner
     assignment inside the domains uses, and all three empty when none does."""
-    o0, o1, o2 = _OPPOSITE_AXES[orientation]
+    o0, o1, o2 = OPPOSITE_AXES[orientation]
     supports = [
         1 << d0 | 1 << (d1 + 3) | 1 << (d2 + 6)
         for d0, d1, d2 in product(range(3), repeat=3)
@@ -160,7 +118,7 @@ class _Problem:
         vertex_faces: list[list[int]] = [[] for _ in self.vertices]
         for fi, f in enumerate(region):
             a, b = f.a, f.b
-            idx = tuple(at[a + da, b + db] for da, db in _CORNER_OFFSETS[f.orientation])
+            idx = tuple(at[a + da, b + db] for da, db in CORNER_OFFSETS[f.orientation])
             faces.append(idx + (_gac_table(f.orientation, target[f]),))
             for i in idx:
                 vertex_faces[i].append(fi)
@@ -261,38 +219,63 @@ def _witness(problem: _Problem, assignment: tuple[int, ...]) -> RootDistribution
     )
 
 
+def _masks(
+    problem: _Problem, domains: Mapping[AxialPoint, Iterable[Direction]]
+) -> list[int]:
+    """Per-vertex bitmask domains: the given candidates, all three directions
+    for a vertex absent from ``domains``."""
+    masks = [_FULL] * len(problem.vertices)
+    for v, candidates in domains.items():
+        i = problem.vindex.get((v.a, v.b))
+        if i is None:
+            raise ValueError(f"vertex {v} is outside the region")
+        mask = 0
+        for d in candidates:
+            mask |= 1 << d
+        masks[i] = mask
+    return masks
+
+
+def _first_witness(
+    target: ParityDistribution,
+    region: Region,
+    domains: Mapping[AxialPoint, Iterable[Direction]],
+    value_order: Callable[[int], tuple[int, ...]] | None = None,
+) -> SolveOutcome:
+    problem = _Problem(target, region)
+    stats = _Stats()
+    for assignment in _solutions(problem, _masks(problem, domains), stats, value_order):
+        return Sat(_witness(problem, assignment), stats.frozen())
+    return Unsat(stats.frozen())
+
+
 # ---------------------------------------------------------------------------
 # Public operations.
 # ---------------------------------------------------------------------------
 
 
-def propagate(state: CSPState) -> CSPState | Contradiction:
-    """Per-face GAC fixpoint of the state, or CONTRADICTION if a domain empties."""
-    problem = _Problem(state.target, state.region)
-    domains = []
-    for v in problem.vertices:
-        mask = 0
-        for d in state.domains.get(v, _ALL_DIRECTIONS):
-            mask |= 1 << int(d)
-        domains.append(mask)
-    stats = _Stats()
-    if not _propagate(problem, domains, stats):
-        return CONTRADICTION
-    new = {
-        v: frozenset(d for d in _ALL_DIRECTIONS if m & (1 << int(d)))
-        for v, m in zip(problem.vertices, domains)
+def propagate(
+    target: ParityDistribution,
+    region: Region,
+    domains: Mapping[AxialPoint, Iterable[Direction]],
+) -> dict[AxialPoint, frozenset[Direction]] | None:
+    """Per-face GAC fixpoint from the given candidate sets (all three
+    directions for a vertex absent from ``domains``), every region vertex in
+    ascending order, or None if a domain empties."""
+    problem = _Problem(target, region)
+    masks = _masks(problem, domains)
+    if not _propagate(problem, masks, _Stats()):
+        return None
+    return {
+        v: frozenset(d for d in _ALL_DIRECTIONS if m >> d & 1)
+        for v, m in zip(problem.vertices, masks)
     }
-    return CSPState(new, state.target, state.region)
 
 
 def realize(target: ParityDistribution, region: Region) -> SolveOutcome:
     """Sat with the lexicographically least witness, or Unsat after exhausting
     the search tree."""
-    problem = _Problem(target, region)
-    stats = _Stats()
-    for assignment in _solutions(problem, [_FULL] * len(problem.vertices), stats):
-        return Sat(_witness(problem, assignment), stats.frozen())
-    return Unsat(stats.frozen())
+    return _first_witness(target, region, {})
 
 
 def enumerate_realizations(
@@ -317,14 +300,7 @@ def realize_with_domains(
     fixed: Mapping[AxialPoint, Direction],
 ) -> SolveOutcome:
     """realize() with some vertices pinned to given directions beforehand."""
-    problem = _Problem(target, region)
-    domains = [_FULL] * len(problem.vertices)
-    for v, d in fixed.items():
-        domains[problem.vindex[v.a, v.b]] = 1 << int(d)
-    stats = _Stats()
-    for assignment in _solutions(problem, domains, stats):
-        return Sat(_witness(problem, assignment), stats.frozen())
-    return Unsat(stats.frozen())
+    return _first_witness(target, region, {v: (d,) for v, d in fixed.items()})
 
 
 def sample_realization(
@@ -332,7 +308,6 @@ def sample_realization(
 ) -> RootDistribution | None:
     """One witness found with per-vertex random value order (reproducible for
     a seeded rng), or None when the target is not realizable."""
-    problem = _Problem(target, region)
     orders = {}
 
     def value_order(i: int) -> tuple[int, ...]:
@@ -342,12 +317,8 @@ def sample_realization(
             orders[i] = tuple(perm)
         return orders[i]
 
-    stats = _Stats()
-    for assignment in _solutions(
-        problem, [_FULL] * len(problem.vertices), stats, value_order
-    ):
-        return _witness(problem, assignment)
-    return None
+    outcome = _first_witness(target, region, {}, value_order)
+    return outcome.witness if isinstance(outcome, Sat) else None
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +374,7 @@ def corner_assignments_with_parity(f: Face, parity: int) -> list[dict[AxialPoint
     """All assignments of directions to the corners of ``f`` inducing the
     given face parity (13 even, 14 odd out of the 27)."""
     corners = face_corners(f)
-    opp = [opposite_edge_direction(f, c) for c in corners]
+    opp = OPPOSITE_AXES[f.orientation]
     out = []
     for combo in product(_ALL_DIRECTIONS, repeat=3):
         mism = sum(1 for d, o in zip(combo, opp) if d != o)
@@ -422,7 +393,7 @@ def verify_disallowed_dozen() -> bool:
     if face not in region:
         raise ValueError("focus face missing from the bundled pattern")
     cases = corner_assignments_with_parity(face, 0)
-    opp = {c: opposite_edge_direction(face, c) for c in face_corners(face)}
+    opp = dict(zip(face_corners(face), OPPOSITE_AXES[face.orientation]))
     two_rank2 = [c for c in cases if sum(1 for x, d in c.items() if d != opp[x]) == 2]
     all_match = [c for c in cases if all(d == opp[x] for x, d in c.items())]
     if len(two_rank2) != 12 or len(all_match) != 1 or len(cases) != 13:

@@ -1,5 +1,7 @@
 """Even-window machinery: gliders, forced propagation, generators, verdicts."""
 
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -21,12 +23,11 @@ from mkflats.lattice import (
     iso_from_frames,
     rhombus,
 )
-from mkflats.realizer import Sat, enumerate_realizations, realize_with_domains
+from mkflats.realizer import Sat, enumerate_realizations, realize, realize_with_domains
 from mkflats.classifier import (
     CANONICAL_T_FLAT_CENTER_FACE,
     CANONICAL_T_PRIME_SEED,
     CANONICAL_T_SEED,
-    CONTRADICTION,
     EvenPropagation,
     EvenWindow,
     GliderHit,
@@ -124,7 +125,7 @@ def test_seed_forces_entire_symmetric_window():
 def test_propagate_even_contradiction_value():
     seed = dict(CANONICAL_T_SEED)
     seed[P(0, 1)] = D0  # incompatible with the trapezoid under evenness
-    assert propagate_even(seed, sector_region(3)) is CONTRADICTION
+    assert propagate_even(seed, sector_region(3)) is None
 
 
 def test_propagate_even_rejects_seed_outside_region():
@@ -252,6 +253,26 @@ def test_window_radius():
     assert window_radius(rhombus(P(0, 0), 8, 8)) == 4
     assert window_radius(t_flat_window_region(P(0, 0), 4)) >= 4
     assert window_radius(Region(frozenset({Face.up(0, 0)}))) == 0
+
+
+def test_regions_are_freed_after_use():
+    """What the library derives from a region lives no longer than the region,
+    except in the bounded window_radius cache."""
+    bound = window_radius.cache_info().maxsize
+    assert bound is not None
+    refs = []
+    for k in range(bound + 4):
+        window = build_t_flat(P(5 * k, 0), 4)
+        region = window.region
+        region.vertex_set()
+        region.interior_vertices()
+        window_radius(region)
+        assert isinstance(realize(ParityDistribution.constant(region, 0), region), Sat)
+        classify(window)
+        refs.append(weakref.ref(region))
+        del window, region
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) <= bound
 
 
 def test_classify_t_flat():

@@ -178,7 +178,10 @@ def test_pauli_extend_stalled_is_a_negative_verdict(tmp_path, capsys):
                  "--seed", "0", "0", "U", "X", "-1", "0", "D", "Y", "--out", out]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("extension stalled: 6 faces could not be forced: ")
+    assert captured.err == (
+        "extension stalled: 6 faces could not be forced: "
+        "D(29,-1), D(29,0), U(29,0), D(30,-1)...\n"
+    )
     assert "error:" not in captured.err
     assert not (tmp_path / "p.pzl").exists()
 

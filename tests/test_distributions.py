@@ -11,7 +11,6 @@ from mkflats.distributions import (
     RootDistribution,
     face_parity,
     induced_parity,
-    is_even,
 )
 from mkflats.lattice import (
     AxialPoint,
@@ -47,9 +46,10 @@ def test_face_parity_examples():
 
 def test_parallel_distribution_is_even():
     region = hexagon(P(0, 0), 2)
-    assert is_even(parallel(region), region)
     for d in ALL_DIRS:
-        assert is_even(parallel(region, d), region)
+        parity = induced_parity(parallel(region, d), region)
+        assert parity.domain() == region.faces
+        assert all(p == 0 for _, p in parity.items())
 
 
 def test_face_parity_requires_all_corners():

@@ -58,6 +58,20 @@ def test_opposite_edge_direction_is_bijective(f):
     assert dirs == {Direction.D0, Direction.D1, Direction.D2}
 
 
+@given(faces)
+def test_opposite_edge_direction_is_the_axis_of_the_other_two_corners(f):
+    corners = face_corners(f)
+    for x in corners:
+        p, q = (c for c in corners if c != x)
+        assert opposite_edge_direction(f, x) == direction_of(q.a - p.a, q.b - p.b)
+
+
+def test_face_str_is_orientation_then_coordinates():
+    assert str(Face.up(0, -3)) == "U(0,-3)"
+    assert str(Face.down(-1, 0)) == "D(-1,0)"
+    assert repr(Face.up(1, 2)) == "Face(a=1, b=2, orientation=<Orientation.UP: 'U'>)"
+
+
 def test_face_edge_neighbors_examples():
     assert frozenset(face_edge_neighbors(Face.down(0, 0))) == frozenset(
         {Face.up(0, 0), Face.up(1, 0), Face.up(0, 1)}

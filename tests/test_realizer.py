@@ -25,10 +25,7 @@ from mkflats.lattice import (
     opposite_edge_direction,
 )
 from mkflats.realizer import (
-    CONTRADICTION,
     COUNTEREXAMPLE_FOCUS_FACE,
-    CSPState,
-    Contradiction,
     Sat,
     SearchStats,
     Unsat,
@@ -69,10 +66,10 @@ def test_propagate_single_face_full_domains_no_elimination():
     f = Face.up(0, 0)
     region = Region(frozenset({f}))
     for parity in (0, 1):
-        state = CSPState.initial(ParityDistribution({f: parity}), region)
-        out = propagate(state)
-        assert not isinstance(out, Contradiction)
-        assert all(len(dom) == 3 for dom in out.domains.values())
+        out = propagate(ParityDistribution({f: parity}), region, {})
+        assert out is not None
+        assert set(out) == set(face_corners(f))
+        assert all(len(dom) == 3 for dom in out.values())
 
 
 def test_propagate_two_fixed_corners_shrink_third():
@@ -81,20 +78,19 @@ def test_propagate_two_fixed_corners_shrink_third():
     corners = face_corners(f)
     opp = [opposite_edge_direction(f, c) for c in corners]
     for d0, d1, parity in product(ALL_DIRS, ALL_DIRS, (0, 1)):
-        state = CSPState(
+        out = propagate(
+            ParityDistribution({f: parity}),
+            region,
             {
                 corners[0]: frozenset({d0}),
                 corners[1]: frozenset({d1}),
                 corners[2]: frozenset(ALL_DIRS),
             },
-            ParityDistribution({f: parity}),
-            region,
         )
-        out = propagate(state)
-        assert not isinstance(out, Contradiction)
+        assert out is not None
         need = (parity - (d0 != opp[0]) - (d1 != opp[1])) % 2
         expected = {d for d in ALL_DIRS if (d != opp[2]) == need}
-        assert out.domains[corners[2]] == expected
+        assert out[corners[2]] == expected
         assert len(expected) in (1, 2)
 
 
@@ -103,19 +99,18 @@ def test_propagate_one_fixed_corner_no_elimination():
     region = Region(frozenset({f}))
     corners = face_corners(f)
     for d0, parity in product(ALL_DIRS, (0, 1)):
-        state = CSPState(
+        out = propagate(
+            ParityDistribution({f: parity}),
+            region,
             {
                 corners[0]: frozenset({d0}),
                 corners[1]: frozenset(ALL_DIRS),
                 corners[2]: frozenset(ALL_DIRS),
             },
-            ParityDistribution({f: parity}),
-            region,
         )
-        out = propagate(state)
-        assert not isinstance(out, Contradiction)
-        assert out.domains[corners[1]] == frozenset(ALL_DIRS)
-        assert out.domains[corners[2]] == frozenset(ALL_DIRS)
+        assert out is not None
+        assert out[corners[1]] == frozenset(ALL_DIRS)
+        assert out[corners[2]] == frozenset(ALL_DIRS)
 
 
 def test_propagate_contradiction_is_a_value():
@@ -124,14 +119,12 @@ def test_propagate_contradiction_is_a_value():
     corners = face_corners(f)
     opp = [opposite_edge_direction(f, c) for c in corners]
     # pin all three corners to the all-matching assignment but demand odd
-    state = CSPState(
-        {c: frozenset({o}) for c, o in zip(corners, opp)},
+    out = propagate(
         ParityDistribution({f: 1}),
         region,
+        {c: frozenset({o}) for c, o in zip(corners, opp)},
     )
-    out = propagate(state)
-    assert out is CONTRADICTION
-    assert repr(out) == "Contradiction"
+    assert out is None
 
 
 @pytest.mark.parametrize("orientation", list(Orientation))
@@ -151,11 +144,11 @@ def test_propagate_single_face_is_exact_gac_on_every_domain(orientation, parity)
     for domains in product(nonempty, repeat=3):
         given = dict(zip(corners, domains))
         kept = [a for a in assignments if all(a[c] in given[c] for c in corners)]
-        out = propagate(CSPState(given, target, region))
+        out = propagate(target, region, given)
         if not kept:
-            assert out is CONTRADICTION, domains
+            assert out is None, domains
         else:
-            assert out.domains == {c: frozenset(a[c] for a in kept) for c in corners}, domains
+            assert out == {c: frozenset(a[c] for a in kept) for c in corners}, domains
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +246,13 @@ def test_enumerate_rejects_limit_below_one(limit):
         enumerate_realizations(target, region, limit=limit)
 
 
+def test_realize_with_domains_rejects_vertex_outside_region():
+    region = hexagon(P(0, 0), 1)
+    target = ParityDistribution.constant(region, 0)
+    with pytest.raises(ValueError, match="outside the region"):
+        realize_with_domains(target, region, {P(50, 50): Direction.D0})
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_completeness_on_small_regions(seed):
     """Solver agrees with full enumeration on Sat/Unsat and witness sets."""
@@ -279,18 +279,16 @@ def test_propagate_never_removes_supported_values():
     for _ in range(8):
         bits = {f: rng.randint(0, 1) for f in region.faces}
         target = ParityDistribution(bits)
-        state = propagate(CSPState.initial(target, region))
+        state = propagate(target, region, {})
         _, sols = brute_force(target, region)
         supported = {
             v: {combo[i] for combo in sols} for i, v in enumerate(verts)
         }
         if not sols:
             continue
-        if isinstance(state, Contradiction):
-            assert not sols
-            continue
+        assert state is not None
         for v in verts:
-            assert supported[v] <= state.domains[v]
+            assert supported[v] <= state[v]
 
 
 def test_realize_is_deterministic():
