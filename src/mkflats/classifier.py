@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Mapping
 
-from .distributions import ParityDistribution, RootDistribution, induced_parity
+from .distributions import ParityDistribution, RootDistribution, face_parity
 from .lattice import (
     DIRECTION_STEPS,
     AxialPoint,
@@ -51,8 +51,7 @@ class EvenWindow:
         missing = self.region.vertex_set() - self.delta.domain()
         if missing:
             raise ValueError(f"delta undefined on {len(missing)} window vertices")
-        parity = induced_parity(self.delta, self.region)
-        odd = [f for f in self.region.faces if parity[f]]
+        odd = [f for f in self.region.faces if face_parity(self.delta, f)]
         if odd:
             raise ValueError(f"window is not even: odd face {min(odd)}")
 
@@ -143,22 +142,19 @@ def find_gliders(window: EvenWindow) -> list[GliderHit]:
     hits = []
     for v in verts:
         for axis in _ALL_DIRECTIONS:
-            u = AxialPoint(*DIRECTION_STEPS[axis])
-            v2 = v + u
+            v2 = v.step(*DIRECTION_STEPS[axis])
             if v2 not in verts:
                 continue
             for off in _SIDE_OFFSETS[axis]:
                 top = v.step(*off)
-                hit = GliderHit("?", axis, (v, v2), top)
-                if not all(p in verts for p in hit.support()):
-                    continue
-                if delta[top] != axis:
+                if top not in verts or delta[top] != axis:
                     continue
                 rank2 = (delta[v] != axis) + (delta[v2] != axis)
-                if rank2 == 2:
-                    hits.append(GliderHit("t", axis, (v, v2), top))
-                elif rank2 == 1:
-                    hits.append(GliderHit("t_prime", axis, (v, v2), top))
+                if rank2 == 0:
+                    continue
+                hit = GliderHit("t" if rank2 == 2 else "t_prime", axis, (v, v2), top)
+                if all(p in verts for p in hit.support()):
+                    hits.append(hit)
     return sorted(hits)
 
 
@@ -335,19 +331,31 @@ def _row_structure(window: EvenWindow) -> StripUnion | None:
 # ---------------------------------------------------------------------------
 
 
+# The steps from a vertex to its six lattice neighbours.
+_NEIGHBOUR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+
+
 # Bounded so that a long-running caller does not keep every region it ever
 # classified; a census over one region still computes it once.
 @lru_cache(maxsize=8)
 def window_radius(region: Region) -> int:
     """Largest r such that some full radius-r hexagon of faces fits in the
-    region (0 when not even a radius-1 hexagon fits)."""
-    best = 0
-    for v in region.vertex_set():
-        r = best + 1
-        while r * r * 6 <= len(region.faces) and hexagon(v, r).faces <= region.faces:
-            best = r
-            r += 1
-    return best
+    region (0 when not even a radius-1 hexagon fits).
+
+    hexagon(v, r) fits exactly when every vertex within distance r - 1 of v
+    is interior, so r counts the rounds that erode the interior vertices to
+    nothing; a round keeps the vertices whose six neighbours it still has.
+    """
+    core = {(v.a, v.b) for v in region.interior_vertices()}
+    rounds = 0
+    while core:
+        rounds += 1
+        core = {
+            (a, b)
+            for a, b in core
+            if all((a + da, b + db) in core for da, db in _NEIGHBOUR_STEPS)
+        }
+    return rounds
 
 
 _CANONICAL_T_FRAME = (AxialPoint(1, 0), AxialPoint(2, 0), AxialPoint(1, 1))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import classifier, files, growth, linkgraph, pauli, realizer, render
-from .distributions import MissingAssignment, induced_parity
+from .distributions import MissingAssignment, ParityDistribution, induced_parity
 from .lattice import AxialPoint, Direction, Face, Orientation, hexagon, rhombus
 
 
@@ -45,6 +45,14 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _numbered(deltas, field: str, fmt: str) -> str:
+    """Several root distributions as one stream: JSON lines carrying their
+    index in ``field``, or text documents each headed ``# <field> <index>``."""
+    if fmt == "json":
+        return "".join(files.json_lines(d, **{field: i}) for i, d in enumerate(deltas))
+    return "".join(f"# {field} {i}\n" + files.rdist_text(d) for i, d in enumerate(deltas))
 
 
 def _direction(name: str) -> Direction:
@@ -82,11 +90,7 @@ def _cmd_realize(args) -> int:
         if not witnesses:
             print("UNSAT")
             return 1
-        if args.format == "json":
-            chunks = [files.json_lines(w, solution=i) for i, w in enumerate(witnesses)]
-        else:
-            chunks = [f"# solution {i}\n" + files.rdist_text(w) for i, w in enumerate(witnesses)]
-        _write_out("".join(chunks), args.out)
+        _write_out(_numbered(witnesses, "solution", args.format), args.out)
         return 0
     outcome = realizer.realize(target, region)
     if isinstance(outcome, realizer.Sat):
@@ -206,17 +210,14 @@ def _cmd_gen(args) -> int:
     else:  # even: seeded random even windows
         rng = random.Random(args.rng_seed)
         region = hexagon(AxialPoint(0, 0), args.radius)
-        from .distributions import ParityDistribution
-
         target = ParityDistribution.constant(region, 0)
-        chunks = []
-        for i in range(args.count):
+        samples = []
+        for _ in range(args.count):
             delta = realizer.sample_realization(target, region, rng)
             if delta is None:  # cannot happen: the all-even target is realizable
                 raise RuntimeError("sampling failed on an all-even target")
-            chunks.append(f"# sample {i}\n")
-            chunks.append(files.emit(delta, args.format))
-        _write_out("".join(chunks), args.out)
+            samples.append(delta)
+        _write_out(_numbered(samples, "sample", args.format), args.out)
         if args.region_out:
             Path(args.region_out).write_text(files.region_text(region), encoding="utf-8")
         return 0

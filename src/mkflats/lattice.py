@@ -56,6 +56,9 @@ class AxialPoint:
     def step(self, da: int, db: int) -> "AxialPoint":
         return AxialPoint(self.a + da, self.b + db)
 
+    def __str__(self) -> str:
+        return f"({self.a},{self.b})"
+
 
 def direction_of(da: int, db: int) -> Direction:
     """Axis of the vector (da, db), which must lie on one of the three axes."""

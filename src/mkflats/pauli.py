@@ -145,28 +145,11 @@ def check_even(labelling: PauliLabelling, region: Region) -> bool:
 
 Seed = tuple[tuple[Face, str], tuple[Face, str]]
 
-
-def _candidate_words(
-    ring: tuple[Face, ...],
-    in_region: tuple[bool, ...],
-    labels: dict[Face, str],
-    direction: Direction | None,
-) -> list[str]:
-    pool = (
-        [w for w, d in WORD_DIRECTIONS.items() if d == direction]
-        if direction is not None
-        else list(ALLOWED_WORDS)
-    )
-    out = []
-    for w in pool:
-        ok = True
-        for i, f in enumerate(ring):
-            if in_region[i] and f in labels and labels[f] != w[i]:
-                ok = False
-                break
-        if ok:
-            out.append(w)
-    return out
+# The allowed words of each axis; a vertex with no root (key None) admits all.
+_WORDS_BY_AXIS: dict[Direction | None, tuple[str, ...]] = {
+    d: tuple(w for w in ALLOWED_WORDS if WORD_DIRECTIONS[w] == d) for d in Direction
+}
+_WORDS_BY_AXIS[None] = tuple(ALLOWED_WORDS)
 
 
 def extend(
@@ -178,9 +161,11 @@ def extend(
     """The unique labelling of the region forced by an even root distribution
     and the labels of two adjacent seed faces.
 
-    ``delta`` must make every face it covers even.  ``reverse_order`` flips
-    the worklist priority; it exists so the order-independence of the forced
-    fixpoint can be demonstrated, and never changes the result.
+    ``delta`` must make every face it covers even.  Vertices are visited from
+    one worklist in ascending (a, b) order, or descending with
+    ``reverse_order``; a vertex joins it when a face around it is labelled.
+    The forced fixpoint does not depend on the order, and ``reverse_order``
+    exists so that this can be demonstrated.
     """
     (f0, lab0), (f1, lab1) = seed
     for f in (f0, f1):
@@ -200,63 +185,41 @@ def extend(
         if covered and face_parity(delta, f) != 0:
             raise ValueError(f"root distribution is not even on face {f}")
 
-    # Static worklist priority: face-adjacency distance from the seed pair.
-    face_dist = {f0: 0, f1: 0}
-    frontier = [f0, f1]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in face_edge_neighbors(f):
-                if g in region.faces and g not in face_dist:
-                    face_dist[g] = face_dist[f] + 1
-                    nxt.append(g)
-        frontier = nxt
-
-    def vertex_priority(x: AxialPoint):
-        ring = faces_around_vertex(x)
-        d = min((face_dist[f] for f in ring if f in face_dist), default=10**9)
-        key = (d, x.a, x.b)
-        return tuple(-k for k in key) if reverse_order else key
-
-    rings = {}
-    for x in region.vertex_set():
-        ring = faces_around_vertex(x)
-        rings[x] = (ring, tuple(f in region.faces for f in ring))
-
+    sign = -1 if reverse_order else 1
     labels: dict[Face, str] = {f0: lab0, f1: lab1}
-    heap: list[tuple] = []
+    heap: list[tuple[int, int]] = []
     queued = set()
 
-    def enqueue(x: AxialPoint) -> None:
-        if x not in queued:
-            queued.add(x)
-            heapq.heappush(heap, (vertex_priority(x), x.a, x.b))
-
-    for f in (f0, f1):
+    def enqueue_corners(f: Face) -> None:
         for c in face_corners(f):
-            if c in rings:
-                enqueue(c)
+            key = (sign * c.a, sign * c.b)
+            if key not in queued:
+                queued.add(key)
+                heapq.heappush(heap, key)
 
+    enqueue_corners(f0)
+    enqueue_corners(f1)
     while heap:
-        _, a, b = heapq.heappop(heap)
-        x = AxialPoint(a, b)
-        queued.discard(x)
-        ring, in_region = rings[x]
+        key = heapq.heappop(heap)
+        queued.discard(key)
+        x = AxialPoint(sign * key[0], sign * key[1])
+        ring = faces_around_vertex(x)
         if sum(1 for f in ring if f in labels) < 2:
             continue
-        direction = delta[x] if x in delta else None
-        candidates = _candidate_words(ring, in_region, labels, direction)
+        candidates = [
+            w
+            for w in _WORDS_BY_AXIS[delta[x] if x in delta else None]
+            if all(labels.get(f, c) == c for f, c in zip(ring, w))
+        ]
         if not candidates:
             raise PuzzleContradiction(f"no valid vertex word fits at {x}")
         for i, f in enumerate(ring):
-            if not in_region[i] or f in labels:
+            if f in labels or f not in region:
                 continue
             forced = {w[i] for w in candidates}
             if len(forced) == 1:
                 labels[f] = forced.pop()
-                for c in face_corners(f):
-                    if c in rings:
-                        enqueue(c)
+                enqueue_corners(f)
 
     missing = region.faces - labels.keys()
     if missing:

@@ -33,6 +33,7 @@ from .distributions import (
     ParityDistribution,
     RootDistribution,
 )
+from .files import parse_pdist
 from .lattice import (
     CORNER_OFFSETS,
     OPPOSITE_AXES,
@@ -42,6 +43,8 @@ from .lattice import (
     Orientation,
     Region,
     face_corners,
+    faces_around_vertex,
+    hexagon,
 )
 
 _FULL = 0b111
@@ -329,8 +332,6 @@ def sample_realization(
 def hexagon_pattern_outcomes() -> list[tuple[tuple[int, ...], SolveOutcome]]:
     """realize() on all 64 parity patterns of the radius-1 hexagon at the
     origin, patterns listed in the rotational face order."""
-    from .lattice import faces_around_vertex, hexagon
-
     region = hexagon(AxialPoint(0, 0), 1)
     ring = faces_around_vertex(AxialPoint(0, 0))
     out = []
@@ -353,8 +354,6 @@ COUNTEREXAMPLE_FOCUS_FACE = Face.down(-1, 0)
 
 def counterexample_parity() -> ParityDistribution:
     """The bundled non-realizable parity pattern."""
-    from .files import parse_pdist
-
     try:
         text = (
             resources.files("mkflats").joinpath("data/counterexample.pdist").read_text()

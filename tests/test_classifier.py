@@ -1,6 +1,7 @@
 """Even-window machinery: gliders, forced propagation, generators, verdicts."""
 
 import gc
+import random
 import weakref
 from itertools import product
 
@@ -13,6 +14,7 @@ from mkflats.distributions import (
     induced_parity,
 )
 from mkflats.lattice import (
+    DIRECTION_STEPS,
     AxialPoint,
     Direction,
     Face,
@@ -188,6 +190,68 @@ def test_strip_unions_do_contain_t_prime():
     assert kinds == {"t_prime"}
 
 
+# The six lattice steps from a vertex to its neighbours.
+NEIGHBOUR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+
+
+def dot2(p, q):
+    """Twice the Euclidean inner product of two axial vectors."""
+    return 2 * p[0] * q[0] + p[0] * q[1] + p[1] * q[0] + 2 * p[1] * q[1]
+
+
+def gliders_by_full_support_scan(window):
+    """Reference scan: build the whole 7-vertex support of every placement
+    first, then read the ranks.  The top side sits over the base, one step
+    at 60 degrees from the base step."""
+    verts = window.region.vertex_set()
+    delta = window.delta
+    hits = []
+    for v in verts:
+        for axis in ALL_DIRS:
+            u = DIRECTION_STEPS[axis]
+            base = (v.step(-u[0], -u[1]), v, v.step(*u), v.step(2 * u[0], 2 * u[1]))
+            for w in (w for w in NEIGHBOUR_STEPS if dot2(w, u) == 1):
+                support = base + tuple(p.step(*w) for p in base[:3])
+                if not all(p in verts for p in support):
+                    continue
+                top = v.step(*w)
+                if delta[top] != axis:
+                    continue
+                rank2 = (delta[v] != axis) + (delta[base[2]] != axis)
+                if rank2:
+                    kind = "t" if rank2 == 2 else "t_prime"
+                    hits.append(GliderHit(kind, axis, (v, base[2]), top))
+    return sorted(hits)
+
+
+def test_find_gliders_matches_full_support_scan_radius3_census():
+    reg = hexagon(P(0, 0), 3)
+    windows = enumerate_realizations(ParityDistribution.constant(reg, 0), reg)
+    assert len(windows) == 537
+    found = 0
+    for delta in windows:
+        w = EvenWindow(reg, delta)
+        hits = find_gliders(w)
+        assert hits == gliders_by_full_support_scan(w)
+        found += len(hits)
+    assert found > 0
+
+
+@pytest.mark.parametrize("axis", ALL_DIRS)
+def test_find_gliders_matches_full_support_scan_on_generated_windows(axis):
+    windows = [build_t_flat(P(a, b), r) for a, b, r in ((0, 0, 3), (1, 0, 4), (-2, 3, 5))]
+    region = rhombus(P(-1, -2), 7, 6)
+    for pattern in ([D0, D1, D2], [D0, D2, D2, D1]):
+        values = [d for d in pattern if d != axis]
+        rows = {row_index(v, axis) for v in region.vertex_set()}
+        assignment = {k: values[k % len(values)] for k in rows}
+        windows.append(build_strip_union(axis, assignment, region))
+    for w in windows:
+        hits = find_gliders(w)
+        assert hits == gliders_by_full_support_scan(w)
+        assert hits
+
+
 def test_glider_support_must_be_inside_window():
     # the canonical trapezoid pattern clipped at the window edge is not a hit
     region = rhombus(P(0, 0), 4, 2)
@@ -253,6 +317,49 @@ def test_window_radius():
     assert window_radius(rhombus(P(0, 0), 8, 8)) == 4
     assert window_radius(t_flat_window_region(P(0, 0), 4)) >= 4
     assert window_radius(Region(frozenset({Face.up(0, 0)}))) == 0
+    assert window_radius(Region(frozenset())) == 0
+
+
+def window_radius_by_containment(region):
+    """Reference: the largest r for which some hexagon(v, r) lies in the
+    region, found by building the hexagons."""
+    best = 0
+    for v in region.vertex_set():
+        while hexagon(v, best + 1).faces <= region.faces:
+            best += 1
+    return best
+
+
+def seeded_regions(seed, count):
+    """Hexagons, rhombi, t-flat windows and unions of two of them (often
+    disjoint), each with up to six random faces removed."""
+    rng = random.Random(seed)
+
+    def shape():
+        c = P(rng.randint(-6, 6), rng.randint(-6, 6))
+        kind = rng.randrange(3)
+        if kind == 0:
+            return hexagon(c, rng.randint(1, 4))
+        if kind == 1:
+            return rhombus(c, rng.randint(1, 9), rng.randint(1, 9))
+        return t_flat_window_region(c, rng.randint(1, 4))
+
+    for _ in range(count):
+        region = shape()
+        if rng.random() < 0.5:
+            region = region.union(shape())
+        faces = sorted(region.faces)
+        removed = rng.sample(faces, min(len(faces), rng.randint(0, 6)))
+        yield Region(region.faces - frozenset(removed))
+
+
+def test_window_radius_equals_containment_definition():
+    radii = set()
+    for region in seeded_regions(5, 80):
+        expected = window_radius_by_containment(region)
+        assert window_radius(region) == expected
+        radii.add(expected)
+    assert radii >= {0, 1, 2, 3, 4}
 
 
 def test_regions_are_freed_after_use():

@@ -149,6 +149,40 @@ def test_gen_even_is_seeded_and_reproducible(tmp_path):
     assert (tmp_path / "c.rdist").read_bytes() != (tmp_path / "a.rdist").read_bytes()
 
 
+def test_gen_even_json_is_json_lines(tmp_path, capsys):
+    assert main(["gen", "even", "--radius", "2", "--count", "3", "--rng-seed", "5",
+                 "--format", "json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    records = [json.loads(line) for line in lines]
+    samples = [r["sample"] for r in records]
+    assert samples == sorted(samples)
+    assert sorted(set(samples)) == [0, 1, 2]
+    vertices = len(hexagon(P(0, 0), 2).vertex_set())
+    assert len(records) == 3 * vertices
+    text = str(tmp_path / "e.rdist")
+    assert main(["gen", "even", "--radius", "2", "--count", "3", "--rng-seed", "5",
+                 "--out", text]) == 0
+    chunks = (tmp_path / "e.rdist").read_text().split("# sample ")[1:]
+    for i, chunk in enumerate(chunks):
+        index, body = chunk.split("\n", 1)
+        delta = files.parse_rdist(body)
+        assert int(index) == i
+        assert sorted(delta.items()) == sorted(
+            (P(r["a"], r["b"]), D[r["direction"]]) for r in records if r["sample"] == i
+        )
+
+
+def test_classify_on_a_sample_stream_names_the_duplicate_vertex(tmp_path, capsys):
+    rdist = str(tmp_path / "even.rdist")
+    region = str(tmp_path / "even.region")
+    assert main(["gen", "even", "--radius", "3", "--count", "3", "--rng-seed", "5",
+                 "--out", rdist, "--region-out", region]) == 0
+    assert main(["classify", "--rdist", rdist, "--region", region]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ")
+    assert err.rstrip().endswith("duplicate vertex (-3,0)")
+
+
 def test_pauli_commands(tmp_path, capsys):
     region = hexagon(P(0, 0), 2)
     delta = RootDistribution({v: D.D0 for v in region.vertex_set()})

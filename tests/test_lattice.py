@@ -72,6 +72,12 @@ def test_face_str_is_orientation_then_coordinates():
     assert repr(Face.up(1, 2)) == "Face(a=1, b=2, orientation=<Orientation.UP: 'U'>)"
 
 
+def test_point_str_is_coordinates():
+    assert str(AxialPoint(-3, 0)) == "(-3,0)"
+    assert f"{AxialPoint(2, -1)}" == "(2,-1)"
+    assert repr(AxialPoint(1, 2)) == "AxialPoint(a=1, b=2)"
+
+
 def test_face_edge_neighbors_examples():
     assert frozenset(face_edge_neighbors(Face.down(0, 0))) == frozenset(
         {Face.up(0, 0), Face.up(1, 0), Face.up(0, 1)}

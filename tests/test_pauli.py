@@ -1,7 +1,10 @@
 """Face labellings: vertex words, induced roots, and the forced extension."""
 
+import random
+
 import pytest
 
+from mkflats.classifier import build_strip_union, build_t_flat
 from mkflats.distributions import MissingAssignment, RootDistribution
 from mkflats.lattice import (
     AxialPoint,
@@ -9,6 +12,7 @@ from mkflats.lattice import (
     Face,
     Region,
     face_corners,
+    face_edge_neighbors,
     faces_around_vertex,
     hexagon,
     rhombus,
@@ -176,8 +180,6 @@ def test_extend_reports_unreached_faces():
 
 
 def test_extend_on_strip_union_window():
-    from mkflats.classifier import build_strip_union
-
     region = rhombus(P(0, 0), 6, 6)
     rows = {b: (D1 if b % 2 else D2) for b in range(7)}
     window = build_strip_union(D0, rows, region)
@@ -187,6 +189,32 @@ def test_extend_on_strip_union_window():
     assert check_even(labelling, region)
     derived = induced_roots(labelling, region)
     assert all(derived[v] == window.delta[v] for v in derived.domain())
+
+
+def test_extend_from_any_pair_of_its_result_returns_it():
+    """The forced labelling does not depend on where it is seeded: any two
+    edge-adjacent faces of a result, with their labels, force that result
+    again, in either visiting order."""
+    rng = random.Random(4)
+    hexagon4 = hexagon(P(0, 0), 4)
+    rows = {a: (D0 if a % 3 else D2) for a in range(8)}
+    strips = build_strip_union(D1, rows, rhombus(P(0, 0), 7, 7))
+    t_flat = build_t_flat(P(0, 0), 4)
+    windows = [
+        (parallel_delta(hexagon4, D2), hexagon4, seed_at()),
+        (strips.delta, strips.region, ((Face.up(3, 3), "X"), (Face.down(3, 3), "Z"))),
+        (t_flat.delta, t_flat.region, seed_at(l0="Z", l1="X")),
+    ]
+    for delta, region, seed in windows:
+        result = extend(delta, region, seed)
+        pairs = [
+            (f, g) for f in sorted(region.faces) for g in face_edge_neighbors(f)
+            if g in region
+        ]
+        for f, g in rng.sample(pairs, 6):
+            again = ((f, result[f]), (g, result[g]))
+            assert extend(delta, region, again) == result
+            assert extend(delta, region, again, reverse_order=True) == result
 
 
 def test_check_even_requires_valid_labelling():

@@ -1,5 +1,6 @@
 """Source-level invariants of the library, read with ``ast``: modules share
-only public names, and no cache grows without bound."""
+only public names, import at module level only, and no cache grows without
+bound."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,18 @@ def test_no_private_name_is_imported(path):
         if alias.name.startswith("_")
     ]
     assert not private
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    found = [
+        f"line {node.lineno} in {fn.name}"
+        for fn in ast.walk(parse(path))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not found
 
 
 def is_unbounded_lru_cache(node: ast.Call) -> bool:
