@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .distributions import ParityDistribution, RootDistribution, face_parity
 from .lattice import (
@@ -111,8 +111,7 @@ _SIDE_OFFSETS = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class GliderHit:
+class GliderHit(NamedTuple):
     """A trapezoid rank pattern: interior base pair along ``axis`` plus the
     interior vertex of the parallel top side."""
 
@@ -346,14 +345,14 @@ def window_radius(region: Region) -> int:
     is interior, so r counts the rounds that erode the interior vertices to
     nothing; a round keeps the vertices whose six neighbours it still has.
     """
-    core = {(v.a, v.b) for v in region.interior_vertices()}
+    core = region.interior_vertices()
     rounds = 0
     while core:
         rounds += 1
         core = {
-            (a, b)
-            for a, b in core
-            if all((a + da, b + db) in core for da, db in _NEIGHBOUR_STEPS)
+            v
+            for v in core
+            if all((v.a + da, v.b + db) in core for da, db in _NEIGHBOUR_STEPS)
         }
     return rounds
 

@@ -27,6 +27,9 @@ from .lattice import (
 class MissingAssignment(KeyError):
     """A distribution was evaluated outside its domain."""
 
+    # KeyError quotes its message; this error's message is a plain sentence.
+    __str__ = Exception.__str__
+
 
 class PartialMap:
     """Immutable partial map whose lookups outside the domain raise

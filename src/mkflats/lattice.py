@@ -6,6 +6,12 @@ adjacent iff their difference is one of +/-(1,0), +/-(0,1), +/-(1,-1).  Every
 lattice edge is parallel to one of three unoriented axes (D0, D1, D2), and
 every triangular face points either up or down.  All coordinates are exact
 integers; nothing in this module touches floating point.
+
+``AxialPoint`` and ``Face`` are NamedTuples: equality, hashing and order are
+those of the field tuple, so order is by (a, b) with Down before Up, and a
+point equals and hashes like the plain pair (a, b) that compiled lookups key
+on.  A face never equals a point.  ``+`` and ``-`` on points are vector
+arithmetic, not tuple concatenation.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class Direction(IntEnum):
@@ -40,8 +46,7 @@ DIRECTION_STEPS = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class AxialPoint:
+class AxialPoint(NamedTuple):
     """A lattice vertex in axial coordinates."""
 
     a: int
@@ -81,8 +86,7 @@ class Orientation(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
-class Face:
+class Face(NamedTuple):
     """A triangular face.  Up(a,b) has corners (a,b), (a+1,b), (a,b+1);
     Down(a,b) has corners (a+1,b), (a,b+1), (a+1,b+1)."""
 
@@ -97,9 +101,6 @@ class Face:
     @staticmethod
     def down(a: int, b: int) -> "Face":
         return Face(a, b, Orientation.DOWN)
-
-    def translate(self, da: int, db: int) -> "Face":
-        return Face(self.a + da, self.b + db, self.orientation)
 
     def __str__(self) -> str:
         return f"{self.orientation}({self.a},{self.b})"
@@ -336,12 +337,7 @@ def iso_from_frames(
     u1, u2 = s1 - s0, s2 - s0
     v1, v2 = d1 - d0, d2 - d0
     for m in POINT_GROUP:
-        if (
-            m[0] * u1.a + m[1] * u1.b == v1.a
-            and m[2] * u1.a + m[3] * u1.b == v1.b
-            and m[0] * u2.a + m[1] * u2.b == v2.a
-            and m[2] * u2.a + m[3] * u2.b == v2.b
-        ):
-            base = LatticeIso(m, AxialPoint(0, 0))
+        base = LatticeIso(m, AxialPoint(0, 0))
+        if base.apply_point(u1) == v1 and base.apply_point(u2) == v2:
             return LatticeIso(m, d0 - base.apply_point(s0))
     raise ValueError("no lattice isometry maps the source frame to the target")

@@ -187,22 +187,21 @@ def extend(
 
     sign = -1 if reverse_order else 1
     labels: dict[Face, str] = {f0: lab0, f1: lab1}
-    heap: list[tuple[int, int]] = []
-    queued = set()
+    # Entries (sign * a, sign * b, vertex); a vertex is in the heap at most once.
+    heap: list[tuple[int, int, AxialPoint]] = []
+    queued: set[AxialPoint] = set()
 
     def enqueue_corners(f: Face) -> None:
         for c in face_corners(f):
-            key = (sign * c.a, sign * c.b)
-            if key not in queued:
-                queued.add(key)
-                heapq.heappush(heap, key)
+            if c not in queued:
+                queued.add(c)
+                heapq.heappush(heap, (sign * c.a, sign * c.b, c))
 
     enqueue_corners(f0)
     enqueue_corners(f1)
     while heap:
-        key = heapq.heappop(heap)
-        queued.discard(key)
-        x = AxialPoint(sign * key[0], sign * key[1])
+        x = heapq.heappop(heap)[2]
+        queued.discard(x)
         ring = faces_around_vertex(x)
         if sum(1 for f in ring if f in labels) < 2:
             continue

@@ -102,7 +102,7 @@ def _gac_table(orientation: Orientation, parity: int) -> tuple[int, ...]:
 
 class _Problem:
     """A target compiled to integers: vertices ascending (``vindex`` maps
-    (a, b) to a vertex index), faces ascending as (i0, i1, i2, table) with
+    each vertex to its index), faces ascending as (i0, i1, i2, table) with
     corner indices in face_corners order and the GAC table of the face's
     orientation and parity, and for each vertex the indices of its faces."""
 
@@ -116,7 +116,7 @@ class _Problem:
         if extra:
             raise ValueError(f"target parity defined off the region: {sorted(extra)[:3]}")
         self.vertices = tuple(sorted(region.vertex_set()))
-        self.vindex = at = {(v.a, v.b): i for i, v in enumerate(self.vertices)}
+        self.vindex = at = {v: i for i, v in enumerate(self.vertices)}
         faces = []
         vertex_faces: list[list[int]] = [[] for _ in self.vertices]
         for fi, f in enumerate(region):
@@ -229,7 +229,7 @@ def _masks(
     for a vertex absent from ``domains``."""
     masks = [_FULL] * len(problem.vertices)
     for v, candidates in domains.items():
-        i = problem.vindex.get((v.a, v.b))
+        i = problem.vindex.get(v)
         if i is None:
             raise ValueError(f"vertex {v} is outside the region")
         mask = 0

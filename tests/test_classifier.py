@@ -6,6 +6,7 @@ import weakref
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mkflats.distributions import (
     ParityDistribution,
@@ -15,6 +16,7 @@ from mkflats.distributions import (
 )
 from mkflats.lattice import (
     DIRECTION_STEPS,
+    POINT_GROUP,
     AxialPoint,
     Direction,
     Face,
@@ -460,6 +462,55 @@ def test_classify_boundary_ambiguous_on_disconnected_window():
     merged.update({v: strips.delta[v] for v in far_region.vertex_set()})
     w = EvenWindow(region, RootDistribution(merged))
     assert classify(w) == Undetermined(UndeterminedReason.BOUNDARY_AMBIGUOUS)
+
+
+_T_FLAT_R4 = build_t_flat(P(0, 0), 4)
+_isometries = st.builds(
+    LatticeIso,
+    st.sampled_from(POINT_GROUP),
+    st.builds(P, st.integers(-20, 20), st.integers(-20, 20)),
+)
+
+
+def _assert_classify_covariant(window, iso):
+    verdict = classify(window)
+    image = classify(
+        EvenWindow(
+            Region(frozenset(iso.apply_face(f) for f in window.region.faces)),
+            window.delta.transform(iso),
+        )
+    )
+    assert type(image) is type(verdict)
+    if isinstance(verdict, TFlat):
+        center_face = iso.apply_face(Face.up(verdict.center.a, verdict.center.b))
+        assert image.center == min(face_corners(center_face))
+        assert image.symmetry_checked == verdict.symmetry_checked
+    elif isinstance(verdict, StripUnion):
+        assert image.axis == iso.apply_direction(verdict.axis)
+    else:
+        assert image.reason == verdict.reason
+
+
+@settings(max_examples=30, deadline=None)
+@given(_isometries)
+def test_classify_is_covariant_on_t_flat(iso):
+    _assert_classify_covariant(_T_FLAT_R4, iso)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(ALL_DIRS),
+    st.lists(st.integers(0, 1), min_size=17, max_size=17),
+    _isometries,
+)
+def test_classify_is_covariant_on_strip_union(axis, bits, iso):
+    region = rhombus(P(0, 0), 8, 8)
+    others = [d for d in ALL_DIRS if d != axis]
+    # Both row values occur, so exactly one axis has row structure.
+    rows = {k: others[bit] for k, bit in enumerate([bits[0], 1 - bits[0]] + bits[2:])}
+    window = build_strip_union(axis, rows, region)
+    assert isinstance(classify(window), StripUnion)
+    _assert_classify_covariant(window, iso)
 
 
 def test_classify_mutual_exclusion_radius3_census():

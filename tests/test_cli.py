@@ -281,7 +281,8 @@ def test_rdist_missing_a_region_vertex_is_an_input_error(tmp_path, capsys):
     delta = RootDistribution({v: D.D0 for v in vertices[1:]})
     rpath = region_file(tmp_path, region)
     dpath = rdist_file(tmp_path, delta)
+    missing = "error: no direction assigned at vertex (-4,0)\n"
     assert main(["classify", "--rdist", dpath, "--region", rpath]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == missing
     assert main(["render", "--region", rpath, "--rdist", dpath, "--layers", "gliders"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == missing

@@ -13,6 +13,7 @@ from mkflats.distributions import (
     induced_parity,
 )
 from mkflats.lattice import (
+    POINT_GROUP,
     AxialPoint,
     Direction,
     Face,
@@ -150,16 +151,22 @@ def test_parity_locality(changes, fill):
     assert face_parity(delta0, f) == face_parity(delta1, f)
 
 
-@given(st.integers(min_value=-8, max_value=8), st.integers(min_value=-8, max_value=8))
-def test_translation_equivariance(da, db):
+@given(
+    st.integers(min_value=-8, max_value=8),
+    st.integers(min_value=-8, max_value=8),
+    st.integers(min_value=0, max_value=len(POINT_GROUP) - 1),
+)
+def test_translation_equivariance(da, db, k):
+    """induced_parity commutes with every isometry: each of the 12 point-group
+    elements followed by a shift."""
     region = hexagon(P(0, 0), 1)
     delta = RootDistribution(
         {v: ALL_DIRS[(v.a + 2 * v.b) % 3] for v in region.vertex_set()}
     )
-    shift = LatticeIso((1, 0, 0, 1), P(da, db))
-    moved_region = Region(frozenset(shift.apply_face(f) for f in region.faces))
-    lhs = induced_parity(delta.transform(shift), moved_region)
-    rhs = induced_parity(delta, region).transform(shift)
+    iso = LatticeIso(POINT_GROUP[k], P(da, db))
+    moved_region = Region(frozenset(iso.apply_face(f) for f in region.faces))
+    lhs = induced_parity(delta.transform(iso), moved_region)
+    rhs = induced_parity(delta, region).transform(iso)
     assert lhs == rhs
 
 

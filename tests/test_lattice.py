@@ -78,6 +78,36 @@ def test_point_str_is_coordinates():
     assert repr(AxialPoint(1, 2)) == "AxialPoint(a=1, b=2)"
 
 
+@given(points, points)
+def test_point_plus_and_minus_are_vector_arithmetic(p, q):
+    assert p + q == P(p.a + q.a, p.b + q.b)
+    assert p - q == P(p.a - q.a, p.b - q.b)
+    assert type(p + q) is P and type(p - q) is P
+    assert (p + q) - q == p
+
+
+@given(points)
+def test_point_equals_and_hashes_like_its_coordinate_pair(p):
+    # Compiled lookups such as at[a + da, b + db] and the erosion in
+    # window_radius key vertices by plain (a, b) pairs.
+    assert p == (p.a, p.b)
+    assert hash(p) == hash((p.a, p.b))
+    assert (p.a, p.b) in {p}
+
+
+@given(faces, points)
+def test_face_never_equals_a_point(f, p):
+    assert f != P(f.a, f.b)
+    assert f != p
+    assert len({f, P(f.a, f.b)}) == 2
+
+
+@given(points, points)
+def test_point_order_is_by_coordinates(p, q):
+    assert (p < q) == ((p.a, p.b) < (q.a, q.b))
+    assert sorted([p, q]) == sorted([p, q], key=lambda v: (v.a, v.b))
+
+
 def test_face_edge_neighbors_examples():
     assert frozenset(face_edge_neighbors(Face.down(0, 0))) == frozenset(
         {Face.up(0, 0), Face.up(1, 0), Face.up(0, 1)}
@@ -138,7 +168,7 @@ def test_faces_around_vertex_structure(x):
     for f in ring:
         assert x in face_corners(f)
     translated = faces_around_vertex(P(x.a + 1, x.b + 1))
-    assert translated == tuple(f.translate(1, 1) for f in ring)
+    assert translated == tuple(Face(f.a + 1, f.b + 1, f.orientation) for f in ring)
 
 
 def _graph_distance(src: AxialPoint, radius: int) -> dict:

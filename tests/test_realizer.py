@@ -5,6 +5,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mkflats.distributions import (
     MissingAssignment,
@@ -14,9 +15,11 @@ from mkflats.distributions import (
     induced_parity,
 )
 from mkflats.lattice import (
+    POINT_GROUP,
     AxialPoint,
     Direction,
     Face,
+    LatticeIso,
     Orientation,
     Region,
     face_corners,
@@ -378,6 +381,37 @@ def test_disallowed_dozen_search_stats():
         (156, 3002), (0, 21), (0, 13), (171, 2103), (0, 27), (0, 28), (11, 235),
         (181, 4296), (42, 419), (0, 22), (0, 13), (0, 18), (171, 2777),
     ]
+
+
+_SMALL_REGION = hexagon(P(0, 0), 2)
+_SMALL_FACES = sorted(_SMALL_REGION.faces)
+_SMALL_VERTICES = sorted(_SMALL_REGION.vertex_set())
+_coords = st.integers(min_value=-20, max_value=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), min_size=len(_SMALL_FACES), max_size=len(_SMALL_FACES)),
+    st.dictionaries(st.sampled_from(_SMALL_VERTICES), st.sampled_from(ALL_DIRS), max_size=5),
+    st.integers(min_value=0, max_value=len(POINT_GROUP) - 1),
+    st.builds(P, _coords, _coords),
+)
+def test_realizable_exactly_when_its_image_is(bits, pins, k, shift):
+    """A radius-2 target with up to five pinned vertices (random targets
+    without pins are all Sat) against its image under a point-group element
+    and a shift: same verdict, and the image of a witness is a witness."""
+    iso = LatticeIso(POINT_GROUP[k], shift)
+    target = ParityDistribution(dict(zip(_SMALL_FACES, bits)))
+    image = target.transform(iso)
+    image_region = image.region()
+    image_pins = {iso.apply_point(v): iso.apply_direction(d) for v, d in pins.items()}
+    outcome = realize_with_domains(target, _SMALL_REGION, pins)
+    image_outcome = realize_with_domains(image, image_region, image_pins)
+    assert type(outcome) is type(image_outcome)
+    if isinstance(outcome, Sat):
+        moved = outcome.witness.transform(iso)
+        assert induced_parity(moved, image_region) == image
+        assert all(moved[v] == d for v, d in image_pins.items())
 
 
 def test_removing_any_odd_face_makes_it_realizable():
