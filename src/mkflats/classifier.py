@@ -111,6 +111,22 @@ _SIDE_OFFSETS = {
 }
 
 
+def _glider_frame(axis: Direction, w: tuple[int, int]):
+    """(base step u, offset w from the first base vertex to the top, the 7
+    support offsets from the top in GliderHit.support order)."""
+    (ua, ub), (wa, wb) = DIRECTION_STEPS[axis], w
+    base_row = tuple((k * ua - wa, k * ub - wb) for k in (-1, 0, 1, 2))
+    top_row = tuple((k * ua, k * ub) for k in (-1, 0, 1))
+    return (ua, ub), w, base_row + top_row
+
+
+# Indexed by the axis, which a glider's top vertex carries.
+_GLIDER_FRAMES = tuple(
+    tuple(_glider_frame(axis, w) for w in _SIDE_OFFSETS[axis])
+    for axis in _ALL_DIRECTIONS
+)
+
+
 class GliderHit(NamedTuple):
     """A trapezoid rank pattern: interior base pair along ``axis`` plus the
     interior vertex of the parallel top side."""
@@ -135,25 +151,28 @@ class GliderHit(NamedTuple):
 def find_gliders(window: EvenWindow) -> list[GliderHit]:
     """All trapezoid placements in the window matching the t or t' rank
     pattern, in sorted order.  The whole 7-vertex support must lie in the
-    window."""
+    window.
+
+    A glider's top vertex carries its axis, so the scan reads that axis once
+    per vertex and tries only the axis's two side frames.
+    """
     verts = window.region.vertex_set()
     delta = window.delta
     hits = []
-    for v in verts:
-        for axis in _ALL_DIRECTIONS:
-            v2 = v.step(*DIRECTION_STEPS[axis])
-            if v2 not in verts:
+    for top in verts:
+        axis = delta[top]
+        a, b = top
+        for (ua, ub), (wa, wb), support in _GLIDER_FRAMES[axis]:
+            v = (a - wa, b - wb)
+            v2 = (v[0] + ua, v[1] + ub)
+            if v not in verts or v2 not in verts:
                 continue
-            for off in _SIDE_OFFSETS[axis]:
-                top = v.step(*off)
-                if top not in verts or delta[top] != axis:
-                    continue
-                rank2 = (delta[v] != axis) + (delta[v2] != axis)
-                if rank2 == 0:
-                    continue
-                hit = GliderHit("t" if rank2 == 2 else "t_prime", axis, (v, v2), top)
-                if all(p in verts for p in hit.support()):
-                    hits.append(hit)
+            rank2 = (delta[v] != axis) + (delta[v2] != axis)
+            if rank2 == 0:
+                continue
+            if all((a + da, b + db) in verts for da, db in support):
+                base = (AxialPoint(*v), AxialPoint(*v2))
+                hits.append(GliderHit("t" if rank2 == 2 else "t_prime", axis, base, top))
     return sorted(hits)
 
 
@@ -308,10 +327,11 @@ def build_strip_union(
 
 
 def _row_structure(window: EvenWindow) -> StripUnion | None:
+    verts = sorted(window.region.vertex_set())
     for axis in _ALL_DIRECTIONS:
         rows: dict[int, Direction] = {}
         ok = True
-        for v in sorted(window.region.vertex_set()):
+        for v in verts:
             d = window.delta[v]
             if d == axis:
                 ok = False

@@ -15,12 +15,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .lattice import (
+    CORNER_OFFSETS,
     OPPOSITE_AXES,
     AxialPoint,
     Face,
     LatticeIso,
     Region,
-    face_corners,
 )
 
 
@@ -115,6 +115,11 @@ class ParityDistribution(PartialMap):
         return ParityDistribution({f: value for f in region.faces})
 
 
+# Per orientation, (offset from the face's (a, b), axis of the opposite edge)
+# for each corner in face_corners order.
+_CORNER_AXES = {o: tuple(zip(CORNER_OFFSETS[o], OPPOSITE_AXES[o])) for o in CORNER_OFFSETS}
+
+
 def face_parity(delta: RootDistribution, f: Face) -> int:
     """Parity of ``f`` under ``delta``: the number of corners whose assigned
     axis differs from the axis of the opposite edge, mod 2.
@@ -122,10 +127,16 @@ def face_parity(delta: RootDistribution, f: Face) -> int:
     Equivalently, the parity of the number of rank-2 corner roots determined
     by the side-2 triangle around ``f``.
     """
+    assigned = delta._map
+    a, b, orientation = f
     mismatches = 0
-    for x, axis in zip(face_corners(f), OPPOSITE_AXES[f.orientation]):
-        if delta[x] != axis:
-            mismatches += 1
+    for (da, db), axis in _CORNER_AXES[orientation]:
+        try:
+            d = assigned[a + da, b + db]
+        except KeyError:
+            x = AxialPoint(a + da, b + db)
+            raise MissingAssignment(f"{delta._missing} {x}") from None
+        mismatches += d != axis
     return mismatches & 1
 
 

@@ -108,9 +108,9 @@ def vertex_word(labelling: PauliLabelling, x: AxialPoint) -> str:
 
 def validate(labelling: PauliLabelling, region: Region) -> bool:
     """True iff every interior vertex of the region carries an allowed word."""
-    for f in region.faces:
-        if f not in labelling:
-            raise MissingAssignment(f"labelling undefined on face {f}")
+    missing = [f for f in region.faces if f not in labelling]
+    if missing:
+        raise MissingAssignment(f"labelling undefined on face {min(missing)}")
     return all(
         vertex_word(labelling, x) in ALLOWED_WORDS for x in region.interior_vertices()
     )
@@ -180,10 +180,13 @@ def extend(
         raise PuzzleContradiction(
             "adjacent faces with equal labels admit no valid vertex word"
         )
-    for f in region.faces:
-        covered = all(c in delta for c in face_corners(f))
-        if covered and face_parity(delta, f) != 0:
-            raise ValueError(f"root distribution is not even on face {f}")
+    odd = [
+        f
+        for f in region.faces
+        if all(c in delta for c in face_corners(f)) and face_parity(delta, f)
+    ]
+    if odd:
+        raise ValueError(f"root distribution is not even on face {min(odd)}")
 
     sign = -1 if reverse_order else 1
     labels: dict[Face, str] = {f0: lab0, f1: lab1}

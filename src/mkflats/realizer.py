@@ -109,9 +109,9 @@ class _Problem:
     __slots__ = ("vertices", "vindex", "faces", "vertex_faces")
 
     def __init__(self, target: ParityDistribution, region: Region):
-        for f in region.faces:
-            if f not in target:
-                raise MissingAssignment(f"target parity undefined on face {f}")
+        missing = [f for f in region.faces if f not in target]
+        if missing:
+            raise MissingAssignment(f"target parity undefined on face {min(missing)}")
         extra = target.domain() - region.faces
         if extra:
             raise ValueError(f"target parity defined off the region: {sorted(extra)[:3]}")

@@ -22,4 +22,15 @@ def test_benchmark_workload_runs_small(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"], proc.stderr
     assert result["failed"] == 0
-    assert result["metrics"]["trace.missing"]["value"] == 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["trace.missing"] == 0
+    if workload == "census":
+        assert metrics["classifier.find_gliders.calls"] == 97
+        assert metrics["classifier.gliders_found"] == 2874
+        assert metrics["classifier.verdict.StripUnion"] == 74
+        assert metrics["classifier.verdict.NoGliderNoRowStructure"] == 12
+        # Only the sum is pinned: a t-flat frame fix moves windows between these two.
+        tflat = metrics["classifier.verdict.TFlat"]
+        assert tflat + metrics["classifier.verdict.BoundaryAmbiguous"] == 11
+    if workload == "windows":
+        assert metrics["classifier.gliders_found"] == 402

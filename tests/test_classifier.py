@@ -23,6 +23,7 @@ from mkflats.lattice import (
     LatticeIso,
     Region,
     face_corners,
+    faces_around_vertex,
     hexagon,
     iso_from_frames,
     rhombus,
@@ -252,6 +253,33 @@ def test_find_gliders_matches_full_support_scan_on_generated_windows(axis):
         hits = find_gliders(w)
         assert hits == gliders_by_full_support_scan(w)
         assert hits
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([None, D0, D1, D2]),
+    st.lists(st.integers(0, 1), min_size=17, max_size=17),
+    st.sets(st.integers(0, 199), max_size=40),
+    st.sets(st.integers(0, 199), max_size=12),
+)
+def test_find_gliders_matches_full_support_scan_on_ragged_windows(axis, bits, cut, holes):
+    # Removing faces keeps a window even and leaves a ragged boundary: ``cut``
+    # removes single faces, ``holes`` every face around a vertex, so that
+    # placements lose some of their support vertices.
+    if axis is None:
+        window = build_t_flat(P(1, -2), 4)
+    else:
+        others = [d for d in ALL_DIRS if d != axis]
+        rows = {k: others[bit] for k, bit in enumerate(bits)}
+        window = build_strip_union(axis, rows, rhombus(P(0, 0), 8, 8))
+    faces = sorted(window.region.faces)
+    verts = sorted(window.region.vertex_set())
+    removed = {faces[i % len(faces)] for i in cut}
+    for i in holes:
+        removed.update(faces_around_vertex(verts[i % len(verts)]))
+    kept = Region(window.region.faces - removed)
+    ragged = EvenWindow(kept, window.delta.restrict(kept.vertex_set()))
+    assert find_gliders(ragged) == gliders_by_full_support_scan(ragged)
 
 
 def test_glider_support_must_be_inside_window():

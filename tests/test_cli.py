@@ -1,17 +1,23 @@
 """The mk command line tool, driven through main(argv)."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mkflats import files
 from mkflats.cli import main
-from mkflats.distributions import ParityDistribution, RootDistribution
+from mkflats.distributions import ParityDistribution, RootDistribution, face_parity
 from mkflats.lattice import AxialPoint, Direction, Face, faces_around_vertex, hexagon
 from mkflats.pauli import PauliLabelling
 from mkflats.realizer import counterexample_parity
 
 P, D = AxialPoint, Direction
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write(tmp_path, name, text):
@@ -218,6 +224,26 @@ def test_pauli_extend_stalled_is_a_negative_verdict(tmp_path, capsys):
     )
     assert "error:" not in captured.err
     assert not (tmp_path / "p.pzl").exists()
+
+
+def test_pauli_extend_names_the_least_odd_face_under_any_hash_seed(tmp_path):
+    # Face hashes go through the str enum Orientation, so they change with
+    # PYTHONHASHSEED and so does the iteration order of region.faces.
+    region = hexagon(P(0, 0), 3)
+    rng = random.Random(3)
+    delta = RootDistribution({v: rng.choice(list(D)) for v in sorted(region.vertex_set())})
+    least = min(f for f in region.faces if face_parity(delta, f))
+    argv = ["pauli", "extend", "--region", region_file(tmp_path, region),
+            "--rdist", rdist_file(tmp_path, delta), "--seed", "0", "0", "U", "X", "0", "0", "D", "Y"]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    errors = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run([sys.executable, "-m", "mkflats.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        errors.append(proc.stderr)
+    assert errors == [f"error: root distribution is not even on face {least}\n"] * 2
 
 
 def test_pauli_roots_invalid_vertex_word_is_an_input_error(tmp_path, capsys):

@@ -54,9 +54,17 @@ def test_parallel_distribution_is_even():
 
 
 def test_face_parity_requires_all_corners():
-    delta = RootDistribution({P(0, 0): D0, P(1, 0): D0})
-    with pytest.raises(MissingAssignment):
-        face_parity(delta, Face.up(0, 0))
+    # The message names the first missing corner in face_corners order.
+    cases = [
+        (Face.up(0, 0), {P(0, 0): D0, P(1, 0): D0}, "(0,1)"),
+        (Face.down(0, 0), {P(1, 0): D0, P(1, 1): D0}, "(0,1)"),
+        (Face.up(0, 0), {P(0, 1): D0}, "(0,0)"),
+        (Face.down(-1, 2), {}, "(0,2)"),
+    ]
+    for f, assigned, corner in cases:
+        with pytest.raises(MissingAssignment) as exc:
+            face_parity(RootDistribution(assigned), f)
+        assert str(exc.value) == f"no direction assigned at vertex {corner}"
 
 
 def test_27_assignment_table():

@@ -79,6 +79,12 @@ def test_validate():
     assert not validate(ring_labelling("XXZYZY"), region)
     with pytest.raises(MissingAssignment):
         validate(PauliLabelling({}), region)
+    wide = hexagon(P(0, 0), 3)
+    half = PauliLabelling({f: "X" for f in wide.faces if f.b > 0})
+    with pytest.raises(MissingAssignment) as exc:
+        validate(half, wide)
+    least = min(f for f in wide.faces if f.b <= 0)
+    assert str(exc.value) == f"labelling undefined on face {least}"
 
 
 def test_induced_roots_from_relator_word():

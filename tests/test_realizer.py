@@ -175,6 +175,12 @@ def test_realize_rejects_mismatched_domains():
     target = ParityDistribution({f: 0 for f in list(region.faces)[:3]})
     with pytest.raises(MissingAssignment):
         realize(target, region)
+    wide = hexagon(P(0, 0), 3)
+    half = ParityDistribution({f: 0 for f in wide.faces if f.a > 0})
+    with pytest.raises(MissingAssignment) as exc:
+        realize(half, wide)
+    least = min(f for f in wide.faces if f.a <= 0)
+    assert str(exc.value) == f"target parity undefined on face {least}"
     extra = ParityDistribution(
         {**{f: 0 for f in region.faces}, Face.up(9, 9): 0}
     )
